@@ -10,7 +10,6 @@ $TANGLEKIT_CORPUS_DIR.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -53,23 +52,10 @@ def _resolve_system(ref: str):
     )
 
 
-def _save_json(payload, path):
-    if isinstance(payload, list):
-        text = json.dumps(
-            [io.to_document(entry) for entry in payload],
-            indent=2, ensure_ascii=False,
-        ) + "\n"
-        Path(path).write_text(text, encoding="utf-8")
-    else:
-        io.save(payload, path)
-
-
 def _guard(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except ToolkitError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except ValueError as exc:
+    except (ToolkitError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
 
 
@@ -108,7 +94,7 @@ def check(system_ref, family_path, kind, k_override, variant, json_path):
         click.echo(line)
     click.echo(f"result: {'PASS' if report.passed else 'FAIL'}")
     if json_path:
-        _save_json(report, json_path)
+        io.save(report, json_path)
     if not report.passed:
         raise SystemExit(1)
 
@@ -134,7 +120,7 @@ def enumerate(system_ref, kind, k, limit, variant, json_path):
         f"at k={k} ({result.status}, {result.nodes} nodes)"
     )
     if json_path:
-        _save_json(list(result.families), json_path)
+        io.save(list(result.families), json_path)
     if result.status != STATUS_COMPLETE:
         raise SystemExit(1)
 
@@ -153,7 +139,7 @@ def branch_width_cmd(system_ref, json_path):
         side = [labels[e] for e in range(system.n) if mask >> e & 1]
         click.echo(f"  split {{{','.join(side)}}} order {system.evaluate(mask)}")
     if json_path:
-        _save_json(tree, json_path)
+        io.save(tree, json_path)
 
 
 @main.command()
@@ -173,7 +159,7 @@ def duality(system_ref, kmax, json_path):
         click.echo("note: ground set of size <= 2; no convention asserted")
     click.echo(f"agrees: {'yes' if report.agrees else 'no'}")
     if json_path:
-        _save_json(report, json_path)
+        io.save(report, json_path)
     if not report.agrees and not report.degenerate:
         raise SystemExit(1)
 
@@ -202,7 +188,7 @@ def verify_theorems(system_ref, theorems, k, json_path):
         for kind, family in v.unmatched:
             click.echo(f"  unmatched {kind}: {family!r}")
     if json_path:
-        _save_json(verdicts, json_path)
+        io.save(verdicts, json_path)
     if not all(v.passed for v in verdicts):
         raise SystemExit(1)
 
@@ -216,8 +202,8 @@ def verify_theorems(system_ref, theorems, k, json_path):
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def hunt(problem, size, count, seed, kmax, json_path):
     """Hunt a seeded random corpus for open-question counterexamples."""
-    if count < 0:
-        raise click.UsageError("--systems must be non-negative")
+    if count < 1:
+        raise click.UsageError("--systems must be at least 1")
     corpus = HuntCorpus(sizes=(size,) * count, base_seed=seed, kmax=kmax)
     verdict = _guard(run_hunt, int(problem), corpus, SearchBudget())
     click.echo(
@@ -229,6 +215,6 @@ def hunt(problem, size, count, seed, kmax, json_path):
         click.echo(f"  {ce.system.describe()} k={ce.k}: {ce.claim} "
                    f"({ce.failing_axiom.value} fails on {ce.family!r})")
     if json_path:
-        _save_json(verdict, json_path)
+        io.save(verdict, json_path)
     if verdict.status != HUNT_NONE_FOUND:
         raise SystemExit(1)

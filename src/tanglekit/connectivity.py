@@ -12,7 +12,8 @@ iff element i is in the subset).  Five constructions are supported:
 The three boundary kinds are symmetric submodular by construction (each is a
 sum of indicator cuts); explicit tables are verified before they are accepted.
 Systems are immutable after construction apart from the ``verified`` flag and
-an internal value-table cache, so they are safe to share between readers.
+internal caches (the value table and the per-k contexts of ``separations``),
+so they are safe to share between readers.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ EXHAUSTIVE_VERIFY_LIMIT = 12
 # cheap seeded spot check applied when structured kinds are built
 BUILD_SPOT_CHECK_PAIRS = 128
 
-SYSTEM_KINDS = (
-    "explicit",
-    "graph_cut",
-    "graph_boundary",
-    "hyperedge_boundary",
-    "min_cardinality",
-)
+# descriptor fields of each kind besides "kind", in document order
+SYSTEM_FIELDS = {
+    "explicit": ("n", "values"),
+    "graph_cut": ("vertices", "edges"),
+    "graph_boundary": ("vertices", "edges"),
+    "hyperedge_boundary": ("n", "hyperedges"),
+    "min_cardinality": ("n",),
+}
+SYSTEM_KINDS = tuple(SYSTEM_FIELDS)
 
 CHECK_SYMMETRY = "symmetry"
 CHECK_SUBMODULARITY = "submodularity"
@@ -76,6 +79,7 @@ class ConnectivitySystem:
         self.verified = False
         self._cross_masks = cross_masks
         self._table: np.ndarray | None = None
+        self._contexts: dict = {}  # k -> separations.EfficientContext
         if kind == "explicit":
             self._table = np.asarray(values, dtype=np.int64)
 
@@ -145,10 +149,6 @@ class ConnectivitySystem:
 
     def __repr__(self):
         return f"ConnectivitySystem({self.describe()!r}, kind={self.kind!r})"
-
-
-def evaluate(system: ConnectivitySystem, mask: int) -> int:
-    return system.evaluate(mask)
 
 
 @dataclass(frozen=True)
@@ -420,13 +420,7 @@ def build_system(descriptor: dict, *, name: str | None = None) -> ConnectivitySy
     kind = descriptor.get("kind")
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
-    fields = {
-        "explicit": {"kind", "n", "values"},
-        "graph_cut": {"kind", "vertices", "edges"},
-        "graph_boundary": {"kind", "vertices", "edges"},
-        "hyperedge_boundary": {"kind", "n", "hyperedges"},
-        "min_cardinality": {"kind", "n"},
-    }[kind]
+    fields = {"kind", *SYSTEM_FIELDS[kind]}
     extra = set(descriptor) - fields
     if extra:
         raise ValueError(f"{kind} descriptor has unknown fields: {sorted(extra)}")

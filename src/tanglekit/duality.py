@@ -29,17 +29,7 @@ DUALITY_CHECK_LIMIT = 7
 
 def dual_family(family: SeparationFamily) -> SeparationFamily:
     """Reverse every member.  An involution; orders and k are unchanged."""
-    full = family.system.full_mask
-    return SeparationFamily.from_masks(
-        family.system,
-        family.k,
-        sorted(full ^ m for m in family.member_masks),
-    )
-
-
-def _dual_masks(family: SeparationFamily) -> tuple[int, ...]:
-    full = family.system.full_mask
-    return tuple(sorted(full ^ m for m in family.member_masks))
+    return SeparationFamily.from_masks(family.system, family.k, family.dual_masks())
 
 
 @dataclass(frozen=True)
@@ -246,11 +236,11 @@ def verify_theorem(
         unmatched = [
             (left_kind.value, f)
             for f in left
-            if _dual_masks(f) not in right_keys
+            if f.dual_masks() not in right_keys
         ] + [
             (right_kind.value, f)
             for f in right
-            if _dual_masks(f) not in left_keys
+            if f.dual_masks() not in left_keys
         ]
         counts = {left_kind.value: len(left), right_kind.value: len(right)}
         return EquivalenceVerdict(
@@ -313,6 +303,8 @@ def verify_branchwidth_duality(
         raise GroundSetLimitError(
             "verify_branchwidth_duality", n, DUALITY_CHECK_LIMIT
         )
+    if kmax is not None and kmax < 0:
+        raise ValueError("kmax must be non-negative")
     budget = budget or SearchBudget()
     bw = branch_width(system)[0]
     top = system.max_order()

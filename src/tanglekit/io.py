@@ -36,7 +36,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .connectivity import SYSTEM_KINDS, ConnectivitySystem, build_system, system_descriptor
+from .connectivity import (
+    SYSTEM_FIELDS, SYSTEM_KINDS, ConnectivitySystem, build_system, system_descriptor,
+)
 from .duality import BranchDecomposition, DualityReport, EquivalenceVerdict
 from .exceptions import SchemaError
 from .search import HuntVerdict
@@ -47,14 +49,6 @@ _AXIOM_VALUES = {a.value for a in AxiomId}
 _KIND_VALUES = {k.value for k in StructureKind}
 _HUNT_STATUSES = {
     "no_counterexample_found", "counterexample_found", "budget_exhausted",
-}
-
-_SYSTEM_FIELDS = {
-    "explicit": ("n", "values"),
-    "min_cardinality": ("n",),
-    "graph_cut": ("vertices", "edges"),
-    "graph_boundary": ("vertices", "edges"),
-    "hyperedge_boundary": ("n", "hyperedges"),
 }
 
 
@@ -91,8 +85,6 @@ def _need(doc, shape, *keys):
     version = doc["version"]
     if isinstance(version, bool) or version != 1:
         raise SchemaError(f"{shape}: unsupported version {version!r}")
-    if doc["version"] != 1:
-        raise SchemaError(f"{shape}: unsupported version {doc['version']!r}")
 
 
 def _int(value, where, minimum=None):
@@ -148,7 +140,7 @@ def _canon_system(doc):
     kind = doc.get("kind")
     if kind not in SYSTEM_KINDS:
         raise SchemaError(f"system: unknown kind {kind!r}")
-    fields = _SYSTEM_FIELDS[kind]
+    fields = SYSTEM_FIELDS[kind]
     _need(doc, f"system[{kind}]", "kind", *fields)
     out = {"version": 1, "kind": kind}
     if "n" in fields:
@@ -460,11 +452,16 @@ def to_document(obj) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(to_document(obj), indent=2, ensure_ascii=False) + "\n"
+    """Canonical text of one object, or of a list of objects as a JSON array."""
+    doc = [to_document(o) for o in obj] if isinstance(obj, list) else to_document(obj)
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def save(document, path) -> None:
-    """Write the canonical serialization (validating dicts on the way out)."""
+    """Write the canonical serialization (validating dicts on the way out).
+
+    ``document`` is one toolkit object or parsed dict, or a list of them.
+    """
     Path(path).write_text(dumps(document), encoding="utf-8")
 
 

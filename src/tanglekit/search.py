@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 from .connectivity import ConnectivitySystem
 from .corpus import random_hyperedge_system
 from .exceptions import SearchBudgetError
-from .separations import SeparationFamily, efficient_masks
+from .separations import SeparationFamily, efficient_context
 from .structures import (
     ORIENTATION_KINDS,
     AxiomId,
-    AxiomResult,
     StructureKind,
+    check_axiom,
     check_structure,
 )
 
@@ -41,13 +41,6 @@ STATUS_BUDGET = "budget_exhausted"
 HUNT_NONE_FOUND = "no_counterexample_found"
 HUNT_FOUND = "counterexample_found"
 HUNT_BUDGET = "budget_exhausted"
-
-
-def generate_random_system(
-    n: int, hyperedge_count: int, max_arity: int, seed: int
-) -> ConnectivitySystem:
-    """Seed-deterministic hyperedge-boundary system (hunt corpus fuel)."""
-    return random_hyperedge_system(n, hyperedge_count, max_arity, seed)
 
 
 @dataclass(frozen=True)
@@ -98,11 +91,10 @@ class _Rules:
         self.kind = kind
         self.variant = variant
         self.full = system.full_mask
-        self.eff = efficient_masks(system, k)
-        self.eff_set = set(self.eff)
-        self.eff_bits = [
-            1 << e for e in range(system.n) if system.evaluate(1 << e) <= k
-        ]
+        context = efficient_context(system, k)
+        self.eff = context.masks
+        self.eff_set = context.mask_set
+        self.eff_bits = [1 << e for e in context.elements]
         t = (StructureKind.TANGLE, StructureKind.LINEAR_TANGLE)
         u = (
             StructureKind.ULTRAFILTER,
@@ -359,6 +351,8 @@ def enumerate_all(
         raise ValueError(f"{kind.value} is not searchable by orientation")
     if k < 0:
         raise ValueError("k must be non-negative")
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
     budget = budget or SearchBudget()
     return _Searcher(system, k, kind, variant, budget, prune, limit).run()
 
@@ -460,13 +454,6 @@ class HuntVerdict:
     status: str = HUNT_NONE_FOUND
 
 
-def _first_failure(report) -> AxiomResult:
-    for r in report.results:
-        if not r.passed:
-            return r
-    raise AssertionError("failing report without failing axiom")
-
-
 def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdict:
     """Sweep a corpus for counterexamples to one of the open questions.
 
@@ -479,9 +466,11 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
     """
     if problem not in (9, 10):
         raise ValueError("problem must be 9 or 10")
+    kmax = corpus.kmax
+    if kmax is not None and kmax < 0:
+        raise ValueError("kmax must be non-negative")
     budget = budget or SearchBudget()
     systems = corpus.systems()
-    kmax = corpus.kmax
     counterexamples = []
     systems_examined = 0
     structures_examined = 0
@@ -504,10 +493,7 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
             structures_examined += len(wufs)
             if problem == 9:
                 for fam in wufs:
-                    report = check_structure(
-                        system, k, fam, StructureKind.ULTRAFILTER
-                    )
-                    f6 = report.result(AxiomId.F6)
+                    f6 = check_axiom(system, k, fam, AxiomId.F6)
                     if not f6.passed:
                         counterexamples.append(Counterexample(
                             system, k, "weak_ultrafilter_triple_intersection",
@@ -519,38 +505,22 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
                 cut = True
                 break
             structures_examined += len(tangles)
-            full = system.full_mask
-            dual_masks = lambda fam: tuple(
-                sorted(full ^ m for m in fam.member_masks)
-            )
-            tangle_duals = {dual_masks(t) for t in tangles}
-            wuf_keys = {fam.member_masks for fam in wufs}
-            for fam in wufs:
-                if fam.member_masks not in tangle_duals:
-                    dual = SeparationFamily.from_masks(
-                        system, k, dual_masks(fam)
-                    )
-                    report = check_structure(
-                        system, k, dual, StructureKind.TANGLE
-                    )
-                    fail = _first_failure(report)
-                    counterexamples.append(Counterexample(
-                        system, k, "weak_ultrafilter_dual_not_tangle",
-                        fam, fail.axiom, fail.witness,
-                    ))
-            for t in tangles:
-                if dual_masks(t) not in wuf_keys:
-                    dual = SeparationFamily.from_masks(
-                        system, k, dual_masks(t)
-                    )
-                    report = check_structure(
-                        system, k, dual, StructureKind.WEAK_ULTRAFILTER
-                    )
-                    fail = _first_failure(report)
-                    counterexamples.append(Counterexample(
-                        system, k, "tangle_dual_not_weak_ultrafilter",
-                        t, fail.axiom, fail.witness,
-                    ))
+            for side, other, dual_kind, claim in (
+                (wufs, tangles, StructureKind.TANGLE,
+                 "weak_ultrafilter_dual_not_tangle"),
+                (tangles, wufs, StructureKind.WEAK_ULTRAFILTER,
+                 "tangle_dual_not_weak_ultrafilter"),
+            ):
+                partners = {f.member_masks for f in other}
+                for fam in side:
+                    dual_masks = fam.dual_masks()
+                    if dual_masks not in partners:
+                        dual = SeparationFamily.from_masks(system, k, dual_masks)
+                        report = check_structure(system, k, dual, dual_kind)
+                        fail = report.failures()[0]
+                        counterexamples.append(Counterexample(
+                            system, k, claim, fam, fail.axiom, fail.witness,
+                        ))
 
     if cut:
         status = HUNT_BUDGET

@@ -36,22 +36,16 @@ class Separation:
         return tuple(i for i in range(self.system.n) if self.first >> i & 1)
 
     def __repr__(self):
-        n = self.system.n
-        side = "{" + ",".join(str(i) for i in range(n) if self.first >> i & 1) + "}"
+        side = "{" + ",".join(map(str, self.first_elements())) + "}"
         return f"Separation({side}, order={self.order})"
 
 
 def make_separation(system: ConnectivitySystem, first: int) -> Separation:
-    """Build (A, X \\ A) from the mask of side A, caching f(A)."""
-    if first < 0 or first > system.full_mask:
-        raise ValueError(
-            f"mask {first:#x} has bits outside the ground set of size {system.n}"
-        )
+    """Build (A, X \\ A) from the mask of side A, caching f(A).
+
+    ``system.evaluate`` rejects a mask with bits outside the ground set.
+    """
     return Separation(system, first, system.full_mask ^ first, system.evaluate(first))
-
-
-def reverse(sep: Separation) -> Separation:
-    return sep.reverse()
 
 
 def _require_same_system(s1: Separation, s2: Separation) -> None:
@@ -73,59 +67,95 @@ def lt(s1: Separation, s2: Separation) -> bool:
     return leq(s1, s2) and s1.first != s2.first
 
 
+@dataclass(frozen=True)
+class EfficientContext:
+    """What the axiom checkers and the pruning rules read about one (system, k).
+
+    ``masks`` holds the first sides of all separations of order <= k,
+    ascending, ``mask_set`` the same masks as a set, and ``elements`` the
+    k-efficient elements e (those with f({e}) <= k), ascending.
+    """
+
+    masks: tuple[int, ...]
+    mask_set: frozenset[int]
+    elements: tuple[int, ...]
+
+
+def efficient_context(system: ConnectivitySystem, k: int) -> EfficientContext:
+    """The context at bound k, built on first use and cached on the system.
+
+    The cache is an attribute of the system, so it is freed with the system.
+    Needs n <= ENUMERATION_LIMIT.
+    """
+    context = system._contexts.get(k)
+    if context is None:
+        if system.n > ENUMERATION_LIMIT:
+            raise GroundSetLimitError("separation enumeration", system.n, ENUMERATION_LIMIT)
+        table = system.table()
+        masks = tuple(int(m) for m in np.nonzero(table <= k)[0])
+        elements = tuple(e for e in range(system.n) if table[1 << e] <= k)
+        context = EfficientContext(masks, frozenset(masks), elements)
+        system._contexts[k] = context
+    return context
+
+
+def efficient_masks(system: ConnectivitySystem, k: int) -> list[int]:
+    """First-side masks of all k-efficient separations, ascending."""
+    return list(efficient_context(system, k).masks)
+
+
 def enumerate_k_efficient(system: ConnectivitySystem, k: int) -> list[Separation]:
     """All oriented separations of order <= k, ascending by first-side mask.
 
     Both orientations of every unordered separation appear.
     """
-    if system.n > ENUMERATION_LIMIT:
-        raise GroundSetLimitError("separation enumeration", system.n, ENUMERATION_LIMIT)
+    masks = efficient_masks(system, k)
     if k < 0:
         raise ValueError("k must be non-negative")
-    table = system.table()
-    masks = np.nonzero(table <= k)[0]
-    return [
-        Separation(system, int(m), system.full_mask ^ int(m), int(table[m]))
-        for m in masks
-    ]
-
-
-def efficient_masks(system: ConnectivitySystem, k: int) -> list[int]:
-    """First-side masks of all k-efficient separations, ascending."""
-    if system.n > ENUMERATION_LIMIT:
-        raise GroundSetLimitError("separation enumeration", system.n, ENUMERATION_LIMIT)
-    return [int(m) for m in np.nonzero(system.table() <= k)[0]]
+    return [make_separation(system, m) for m in masks]
 
 
 @dataclass(frozen=True)
 class SeparationFamily:
     """A duplicate-free set of oriented separations declared against a bound k.
 
-    Members are kept in canonical order.  The order <= k claim is *not*
-    enforced here: structure checks report violations as axiom failures.
+    Members are kept as first-side masks in canonical order; ``members``
+    builds the ``Separation`` objects when read.  The order <= k claim is
+    *not* enforced here: structure checks report violations as axiom
+    failures.
     """
 
     system: ConnectivitySystem
     k: int
-    members: tuple[Separation, ...]
+    member_masks: tuple[int, ...]
 
     @classmethod
     def from_masks(cls, system: ConnectivitySystem, k: int, masks) -> "SeparationFamily":
         masks = list(masks)
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate members in separation family")
-        members = tuple(make_separation(system, m) for m in sorted(masks))
-        return cls(system, k, members)
+        masks.sort()
+        for m in masks:
+            if m < 0 or m > system.full_mask:
+                raise ValueError(
+                    f"mask {m:#x} has bits outside the ground set of size {system.n}"
+                )
+        return cls(system, k, tuple(masks))
 
     @property
-    def member_masks(self) -> tuple[int, ...]:
-        return tuple(s.first for s in self.members)
+    def members(self) -> tuple[Separation, ...]:
+        return tuple(make_separation(self.system, m) for m in self.member_masks)
 
     def mask_set(self) -> frozenset[int]:
-        return frozenset(s.first for s in self.members)
+        return frozenset(self.member_masks)
+
+    def dual_masks(self) -> tuple[int, ...]:
+        """Member masks of the dual family: every member reversed, ascending."""
+        full = self.system.full_mask
+        return tuple(sorted(full ^ m for m in self.member_masks))
 
     def __len__(self):
-        return len(self.members)
+        return len(self.member_masks)
 
     def __iter__(self):
         return iter(self.members)
@@ -133,7 +163,7 @@ class SeparationFamily:
     def __contains__(self, item) -> bool:
         if isinstance(item, Separation):
             item = item.first
-        return any(s.first == item for s in self.members)
+        return item in self.member_masks
 
     def __repr__(self):
         sides = ",".join(

@@ -35,13 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .connectivity import ConnectivitySystem
 from .exceptions import FilterBaseError
 from .separations import (
+    EfficientContext,
     Separation,
     SeparationFamily,
-    efficient_masks,
+    efficient_context,
     make_separation,
 )
 
@@ -181,32 +183,19 @@ class StructureReport:
 
 
 class _Ctx:
-    """Shared per-check state: member masks plus lazily enumerated universes."""
+    """Shared per-check state: member masks plus the system's context at k."""
 
     def __init__(self, system: ConnectivitySystem, k: int, family: SeparationFamily):
         self.system = system
         self.k = k
         self.masks = family.member_masks
-        self.mask_set = set(self.masks)
+        self.mask_set = family.mask_set()
         self.full = system.full_mask
-        self._eff = None
-        self._eff_elements = None
 
-    @property
-    def eff(self) -> list[int]:
-        if self._eff is None:
-            self._eff = efficient_masks(self.system, self.k)
-        return self._eff
-
-    @property
-    def eff_elements(self) -> list[int]:
-        if self._eff_elements is None:
-            self._eff_elements = [
-                e
-                for e in range(self.system.n)
-                if self.system.evaluate(1 << e) <= self.k
-            ]
-        return self._eff_elements
+    @cached_property
+    def eff(self) -> EfficientContext:
+        # read on use only: axioms over the members alone work beyond the n cap
+        return efficient_context(self.system, self.k)
 
     def sep(self, mask: int) -> Separation:
         return make_separation(self.system, mask)
@@ -234,7 +223,7 @@ def _check_p0(ctx):
 
 def _check_orientation(axiom, ctx):
     # T1 / F1 / P1: every separation of order <= k has an oriented member
-    for m in ctx.eff:
+    for m in ctx.eff.masks:
         comp = ctx.full ^ m
         if m > comp:
             continue
@@ -245,7 +234,7 @@ def _check_orientation(axiom, ctx):
 
 def _check_singletons_in(axiom, ctx):
     # T2 / P4: ({e}, X minus {e}) must be a member for each k-efficient e
-    for e in ctx.eff_elements:
+    for e in ctx.eff.elements:
         if (1 << e) not in ctx.mask_set:
             return _fail(axiom, ctx, (1 << e,), element=e)
     return _ok(axiom)
@@ -264,7 +253,7 @@ def _check_t3(ctx):
 
 def _check_lt3(ctx):
     ms = ctx.masks
-    singles = [(e, 1 << e) for e in ctx.eff_elements]
+    singles = [(e, 1 << e) for e in ctx.eff.elements]
     for i, a1 in enumerate(ms):
         for j in range(i, len(ms)):
             a12 = a1 | ms[j]
@@ -288,7 +277,7 @@ def _check_f2(ctx):
 
 
 def _check_f3(ctx):
-    for e in ctx.eff_elements:
+    for e in ctx.eff.elements:
         if (1 << e) in ctx.mask_set:
             return _fail(AxiomId.F3, ctx, (1 << e,), element=e)
     return _ok(AxiomId.F3)
@@ -296,7 +285,7 @@ def _check_f3(ctx):
 
 def _check_f4(ctx):
     for a in ctx.masks:
-        for c in ctx.eff:
+        for c in ctx.eff.masks:
             if a & ~c == 0 and c not in ctx.mask_set:
                 return _fail(AxiomId.F4, ctx, (a, c))
     return _ok(AxiomId.F4)
@@ -325,7 +314,7 @@ def _check_f6(ctx):
 
 def _check_sf5(ctx):
     for a in ctx.masks:
-        for e in ctx.eff_elements:
+        for e in ctx.eff.elements:
             shrunk = a & ~(1 << e)
             if ctx.system.evaluate(shrunk) <= ctx.k and shrunk not in ctx.mask_set:
                 return _fail(AxiomId.SF5, ctx, (a, shrunk), element=e)
@@ -353,7 +342,7 @@ def _check_consistent(ctx):
 
 def _check_p2(ctx):
     for a2 in ctx.masks:
-        for a1 in ctx.eff:
+        for a1 in ctx.eff.masks:
             if a1 & ~a2 == 0 and a1 not in ctx.mask_set:
                 return _fail(AxiomId.P2, ctx, (a2, a1))
     return _ok(AxiomId.P2)
@@ -389,7 +378,7 @@ def _check_p3b(ctx):
 
 def _check_sp3_literal(ctx):
     for a in ctx.masks:
-        for e in ctx.eff_elements:
+        for e in ctx.eff.elements:
             shrunk = a & ~(1 << e)
             if shrunk in ctx.mask_set:
                 return _fail(AxiomId.SP3_LITERAL, ctx, (a, shrunk), element=e)
@@ -398,7 +387,7 @@ def _check_sp3_literal(ctx):
 
 def _check_sp3_corrected(ctx):
     for a in ctx.masks:
-        for e in ctx.eff_elements:
+        for e in ctx.eff.elements:
             other = ctx.full ^ (a | (1 << e))
             if other in ctx.mask_set:
                 return _fail(AxiomId.SP3_CORRECTED, ctx, (a, other), element=e)
@@ -482,7 +471,7 @@ def check_structure(
 ) -> StructureReport:
     """Run every axiom of the kind plus the order bound P0.
 
-    Axioms that quantify over all k-efficient separations need n <= 16.
+    Axioms that read the k-efficient separations or elements need n <= 16.
     Informational entries (T4 on tangle kinds, F6 on ultrafilter kinds) are
     appended to the report but never affect the overall pass.
     """
@@ -516,7 +505,7 @@ def check_filter_base_generates(
     base_masks = base.member_masks
     closure = [
         c
-        for c in efficient_masks(system, k)
+        for c in efficient_context(system, k).masks
         if any(b & ~c == 0 for b in base_masks)
     ]
     return SeparationFamily.from_masks(system, k, closure)

@@ -1,6 +1,10 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -276,6 +280,17 @@ class TestHunt:
         ]).exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["hunt", "--problem", "9", "--n", "3", "--kmax", "-1"],
+    ["hunt", "--problem", "9", "--n", "3", "--systems", "0"],
+    ["duality", "--system", "c4", "--kmax", "-1"],
+    ["enumerate", "--system", "c4", "--kind", "tangle", "--k", "1", "--limit", "0"],
+    ["enumerate", "--system", "c4", "--kind", "tangle", "--k", "1", "--limit", "-3"],
+])
+def test_inputs_that_examine_nothing_are_usage_errors(runner, args):
+    assert runner.invoke(main, args).exit_code == 2
+
+
 class TestSystemResolution:
     def test_file_path_reference(self, runner, tmp_path, c4):
         path = tmp_path / "ring.json"
@@ -321,3 +336,13 @@ class TestSystemResolution:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert tanglekit.__version__ in result.output
+
+    def test_python_dash_m_entry_point(self):
+        src = str(Path(tanglekit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-m", "tanglekit", "--version"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stdout == "tanglekit, version 0.1.0\n"

@@ -1,5 +1,7 @@
 """Oriented separations: construction, the partial order, enumeration."""
 
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -16,8 +18,8 @@ from tanglekit import (
     lt,
     make_separation,
     min_cardinality_system,
-    reverse,
 )
+from tanglekit.separations import efficient_context
 
 # k4's edge-boundary table has exactly these first sides at order <= 2,
 # frozen from a full 64-entry table scan
@@ -50,18 +52,14 @@ class TestConstruction:
 class TestReverse:
     def test_reverse_swaps_sides(self, min3):
         s = make_separation(min3, 0b001)
-        r = reverse(s)
+        r = s.reverse()
         assert (r.first, r.second) == (s.second, s.first)
         assert r.order == s.order
 
     def test_reverse_is_an_involution(self, c4):
         for m in range(16):
             s = make_separation(c4, m)
-            assert reverse(reverse(s)) == s
-
-    def test_function_matches_method(self, p3):
-        s = make_separation(p3, 0b01)
-        assert reverse(s) == s.reverse()
+            assert s.reverse().reverse() == s
 
 
 class TestPartialOrder:
@@ -92,7 +90,7 @@ class TestPartialOrder:
     def test_reversal_flips_the_order(self, c4):
         for m1, m2 in product(range(16), repeat=2):
             s1, s2 = make_separation(c4, m1), make_separation(c4, m2)
-            assert leq(s1, s2) == leq(reverse(s2), reverse(s1))
+            assert leq(s1, s2) == leq(s2.reverse(), s1.reverse())
 
     def test_cross_system_comparison_rejected(self, min3, p3):
         with pytest.raises(ValueError):
@@ -142,6 +140,17 @@ class TestEnumeration:
     def test_negative_k_rejected(self, min3):
         with pytest.raises(ValueError):
             enumerate_k_efficient(min3, -1)
+
+    def test_context_is_cached_per_k_and_freed_with_its_system(self):
+        system = min_cardinality_system(4)
+        contexts = [efficient_context(system, k) for k in range(3)]
+        assert all(efficient_context(system, k) is contexts[k] for k in range(3))
+        assert contexts[0].masks == (0, 15)
+        assert contexts[1].elements == (0, 1, 2, 3)
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
 
     def test_ground_set_cap(self):
         big = min_cardinality_system(17)

@@ -23,8 +23,10 @@ from tanglekit import (
     check_filter_base_generates,
     check_structure,
     efficient_masks,
+    enumerate_all,
     min_cardinality_system,
     random_hyperedge_system,
+    to_document,
 )
 
 A = AxiomId
@@ -259,6 +261,29 @@ class TestCheckStructure:
         assert check_structure(min3, 1, family(min3, 1, [1, 3]), "filter_base").passed
         report = check_structure(min3, 1, family(min3, 1, []), "filter_base")
         assert not report.passed and not report.result(A.FB1).passed
+
+
+    def test_interleaved_checks_match_fresh_systems(self):
+        # one system serves every (kind, k) below through its cached
+        # contexts; each report must equal the report on a new system
+        def build():
+            return random_hyperedge_system(5, 5, 3, seed=11)
+
+        shared = build()
+        families = [
+            fam.member_masks
+            for k in (1, 2)
+            for kind in ("tangle", "weak_ultrafilter", "profile")
+            for fam in enumerate_all(kind, shared, k)
+        ] + [(), (0,), (1, 3, 7), tuple(range(32))]
+        assert len(families) > 10
+        for masks in families:
+            for k in (2, 0, 3, 1):
+                for kind in StructureKind:
+                    got = check_structure(shared, k, family(shared, k, masks), kind)
+                    fresh = build()
+                    want = check_structure(fresh, k, family(fresh, k, masks), kind)
+                    assert to_document(got) == to_document(want)
 
 
 class TestOracleSweeps:
