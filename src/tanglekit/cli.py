@@ -27,7 +27,7 @@ from .search import (
     enumerate_all,
     hunt as run_hunt,
 )
-from .separations import SeparationFamily
+from .separations import SeparationFamily, mask_elements
 from .structures import StructureKind, check_structure
 
 _KIND_CHOICE = click.Choice([k.value for k in StructureKind])
@@ -136,7 +136,7 @@ def branch_width_cmd(system_ref, json_path):
     click.echo(f"tree: {tree.nested()}")
     labels = system.labels()
     for mask in tree.splits:
-        side = [labels[e] for e in range(system.n) if mask >> e & 1]
+        side = [labels[e] for e in mask_elements(mask)]
         click.echo(f"  split {{{','.join(side)}}} order {system.evaluate(mask)}")
     if json_path:
         io.save(tree, json_path)

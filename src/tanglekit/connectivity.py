@@ -12,8 +12,9 @@ iff element i is in the subset).  Five constructions are supported:
 The three boundary kinds are symmetric submodular by construction (each is a
 sum of indicator cuts); explicit tables are verified before they are accepted.
 Systems are immutable after construction apart from the ``verified`` flag and
-internal caches (the value table and the per-k contexts of ``separations``),
-so they are safe to share between readers.
+internal caches (the value table, the per-k contexts of ``separations`` and
+the result of ``duality.branch_width``), so they are safe to share between
+readers.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ class ConnectivitySystem:
         self._cross_masks = cross_masks
         self._table: np.ndarray | None = None
         self._contexts: dict = {}  # k -> separations.EfficientContext
+        self._branch_width = None  # duality.branch_width's (width, edges, splits)
         if kind == "explicit":
             self._table = np.asarray(values, dtype=np.int64)
 
@@ -281,16 +283,22 @@ def _check_n(n, kind: str) -> int:
     return n
 
 
+def _require_passed(report: VerificationReport, message: str) -> None:
+    """Raise FunctionAxiomError for the first failed check of ``report``.
+
+    ``message`` is formatted with the check's ``name`` and ``witness``.
+    """
+    for c in report.checks:
+        if not c.passed:
+            raise FunctionAxiomError(message.format(name=c.name, witness=c.witness), c.witness)
+
+
 def _spot_check(system: ConnectivitySystem) -> None:
     # structured kinds are submodular by construction; this catches builder bugs
-    report = _verify_sampled(system, BUILD_SPOT_CHECK_PAIRS, seed=0)
-    if not report.passed:
-        failed = next(c for c in report.checks if not c.passed)
-        raise FunctionAxiomError(
-            f"{system.kind} construction violated {failed.name} "
-            f"(witness masks {failed.witness})",
-            failed.witness,
-        )
+    _require_passed(
+        _verify_sampled(system, BUILD_SPOT_CHECK_PAIRS, seed=0),
+        f"{system.kind} construction violated {{name}} (witness masks {{witness}})",
+    )
 
 
 def explicit_system(values, *, name: str | None = None) -> ConnectivitySystem:
@@ -312,13 +320,9 @@ def explicit_system(values, *, name: str | None = None) -> ConnectivitySystem:
     else:
         # 4**n pairs are out of reach here; documented fallback
         report = _verify_sampled(system, samples=65536, seed=0)
-    if not report.passed:
-        failed = next(c for c in report.checks if not c.passed)
-        raise FunctionAxiomError(
-            f"explicit table rejected: {failed.name} fails at witness masks "
-            f"{failed.witness}",
-            failed.witness,
-        )
+    _require_passed(
+        report, "explicit table rejected: {name} fails at witness masks {witness}"
+    )
     return system
 
 

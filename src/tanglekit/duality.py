@@ -130,28 +130,32 @@ def branch_width(system: ConnectivitySystem) -> tuple[int, BranchDecomposition]:
     Ties are broken by the lexicographically least sorted-splits tuple, so
     the witness is deterministic.  Degenerate ground sets (n <= 2) have a
     single decomposition; its width is f of the single displayed side, or
-    f(emptyset) when there is no edge at all.
+    f(emptyset) when there is no edge at all.  The trees are enumerated once
+    per system: the optimum is cached on the system and freed with it.
     """
     n = system.n
     if n > TREE_ENUMERATION_LIMIT:
         raise GroundSetLimitError("branch_width", n, TREE_ENUMERATION_LIMIT)
-    best = None
-    for edges in _cubic_trees(n):
-        if edges:
-            displayed = [
-                _leaf_side(edges, u, v, n) for u, v in edges
-            ]
-            width = max(system.evaluate(m) for m in displayed)
-            splits = tuple(sorted(
-                min(m, system.full_mask ^ m) for m in displayed
-            ))
-        else:
-            width = system.evaluate(0)
-            splits = ()
-        key = (width, splits)
-        if best is None or key < best[0]:
-            best = (key, tuple(tuple(e) for e in edges))
-    (width, splits), edges = best
+    if system._branch_width is None:
+        best = None
+        for edges in _cubic_trees(n):
+            if edges:
+                displayed = [
+                    _leaf_side(edges, u, v, n) for u, v in edges
+                ]
+                width = max(system.evaluate(m) for m in displayed)
+                splits = tuple(sorted(
+                    min(m, system.full_mask ^ m) for m in displayed
+                ))
+            else:
+                width = system.evaluate(0)
+                splits = ()
+            key = (width, splits)
+            if best is None or key < best[0]:
+                best = (key, tuple(tuple(e) for e in edges))
+        (width, splits), edges = best
+        system._branch_width = (width, edges, splits)
+    width, edges, splits = system._branch_width
     return width, BranchDecomposition(system, edges, width, splits)
 
 

@@ -1,7 +1,7 @@
 """Canonical JSON for every document the toolkit reads or writes.
 
 All documents are JSON objects with ``"version": 1`` first and keys in a
-fixed order per shape:
+fixed order per shape; the entries nested in a document carry no version:
 
 ====================  ======================================================
 shape                 key order
@@ -12,13 +12,17 @@ system                version, kind, then the kind's fields: explicit ->
                       hyperedge_boundary -> n, hyperedges
 family                version, k, sides
 structure report      version, kind, k, variant, axioms, pass
-                      (axiom entry: id, pass, witness, element)
+  axiom entry         id, pass, witness, element
 equivalence verdict   version, theorem, system, k, pass, counts,
                       unmatched, bw
+  unmatched entry     kind, sides
 hunt verdict          version, problem, corpus, systems_examined,
                       structures_examined, counterexamples, status
+  counterexample      system (a system without version), k, claim, sides,
+                      failing_axiom, witness
 duality report        version, system, bw, max_tangle_order, per_k,
                       agrees, degenerate
+  per-k entry         k, tangle_exists, matches
 branch-width report   version, system, width, tree
 ====================  ======================================================
 
@@ -41,15 +45,12 @@ from .connectivity import (
 )
 from .duality import BranchDecomposition, DualityReport, EquivalenceVerdict
 from .exceptions import SchemaError
-from .search import HuntVerdict
-from .separations import SeparationFamily
+from .search import HUNT_BUDGET, HUNT_FOUND, HUNT_NONE_FOUND, HuntVerdict
+from .separations import SeparationFamily, mask_elements
 from .structures import AxiomId, StructureKind, StructureReport
 
-_AXIOM_VALUES = {a.value for a in AxiomId}
-_KIND_VALUES = {k.value for k in StructureKind}
-_HUNT_STATUSES = {
-    "no_counterexample_found", "counterexample_found", "budget_exhausted",
-}
+_AXIOM_VALUES = tuple(a.value for a in AxiomId)
+_KIND_VALUES = tuple(k.value for k in StructureKind)
 
 
 def _reject_duplicate_keys(pairs):
@@ -74,17 +75,21 @@ def _parse(path):
     return doc
 
 
-def _need(doc, shape, *keys):
-    allowed = {"version", *keys}
+def _need(doc, shape, keys, versioned):
+    allowed = {"version", *keys} if versioned else set(keys)
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise SchemaError(f"{shape}: unknown fields {unknown}")
     missing = sorted(allowed - set(doc))
     if missing:
         raise SchemaError(f"{shape}: missing fields {missing}")
-    version = doc["version"]
-    if isinstance(version, bool) or version != 1:
-        raise SchemaError(f"{shape}: unsupported version {version!r}")
+    if versioned and (type(doc["version"]) is not int or doc["version"] != 1):
+        raise SchemaError(f"{shape}: unsupported version {doc['version']!r}")
+
+
+# ---------------------------------------------------------------------------
+# field checks: each takes (value, where), raises SchemaError naming ``where``
+# and returns the canonical value
 
 
 def _int(value, where, minimum=None):
@@ -95,265 +100,191 @@ def _int(value, where, minimum=None):
     return value
 
 
-def _bool(value, where):
-    if not isinstance(value, bool):
-        raise SchemaError(f"{where} must be a boolean")
-    return value
+def _nat(value, where):
+    return _int(value, where, 0)
 
 
-def _str(value, where):
-    if not isinstance(value, str):
-        raise SchemaError(f"{where} must be a string")
-    return value
+def _instance_of(cls, noun):
+    def check(value, where):
+        if not isinstance(value, cls):
+            raise SchemaError(f"{where} must be {noun}")
+        return value
+    return check
 
 
-def _list(value, where):
-    if not isinstance(value, list):
-        raise SchemaError(f"{where} must be an array")
-    return value
+_bool = _instance_of(bool, "a boolean")
+_str = _instance_of(str, "a string")
+_list = _instance_of(list, "an array")
+_obj = _instance_of(dict, "an object")
 
 
-def _obj(value, where):
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where} must be an object")
-    return value
+def _one_of(*values, base=_str):
+    """Check for an enum field; ``base`` keeps it type-strict (11.0 is no 11)."""
+    def check(value, where):
+        if base(value, where) not in values:
+            raise SchemaError(f"unknown {where} {value!r}")
+        return value
+    return check
+
+
+def _optional(check):
+    return lambda value, where: None if value is None else check(value, where)
+
+
+def _array_of(check):
+    return lambda value, where: [
+        check(v, f"{where}[{i}]") for i, v in enumerate(_list(value, where))
+    ]
 
 
 def _side(value, where):
-    out = [_int(e, f"{where}[{i}]", minimum=0) for i, e in enumerate(_list(value, where))]
-    if len(set(out)) != len(out):
+    """A side: non-negative integer elements in strictly ascending order.
+
+    One pass accepts a valid side; the element-wise message is built only
+    for a side that fails it.
+    """
+    if isinstance(value, list):
+        last = -1
+        for e in value:
+            if type(e) is not int or e <= last:
+                break
+            last = e
+        else:
+            return list(value)
+    for i, e in enumerate(_list(value, where)):
+        _int(e, f"{where}[{i}]", minimum=0)
+    if len(set(value)) != len(value):
         raise SchemaError(f"{where} repeats an element")
-    if out != sorted(out):
-        raise SchemaError(f"{where} must be sorted ascending")
-    return out
+    raise SchemaError(f"{where} must be sorted ascending")
 
 
-def _sides(value, where):
-    return [_side(s, f"{where}[{i}]") for i, s in enumerate(_list(value, where))]
+_sides = _array_of(_side)
+
+
+def _family_sides(value, where):
+    sides = _sides(value, where)
+    if len({tuple(s) for s in sides}) != len(sides):
+        raise SchemaError(f"{where} contains a duplicate")
+    return sides
+
+
+def _pair(value, where):
+    if len(_list(value, where)) != 2:
+        raise SchemaError(f"{where} must be a pair")
+    return [_str(value[0], f"{where}[0]"), _str(value[1], f"{where}[1]")]
+
+
+def _counts(value, where):
+    return {
+        _str(k, f"{where} key"): _nat(v, f"{where}[{k}]")
+        for k, v in _obj(value, where).items()
+    }
+
+
+def _tree(value, where):
+    if isinstance(value, list):
+        return [_tree(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where} must be an element index or array")
+    return _nat(value, where)
 
 
 # ---------------------------------------------------------------------------
-# per-shape canonicalizers: validate a parsed dict, return it in key order
+# one ordered {key: check} table per shape, and the walker that applies it
 
 
-def _canon_system(doc):
-    kind = doc.get("kind")
-    if kind not in SYSTEM_KINDS:
-        raise SchemaError(f"system: unknown kind {kind!r}")
-    fields = SYSTEM_FIELDS[kind]
-    _need(doc, f"system[{kind}]", "kind", *fields)
-    out = {"version": 1, "kind": kind}
-    if "n" in fields:
-        out["n"] = _int(doc["n"], "n", minimum=1)
-    if kind == "explicit":
-        values = [_int(v, f"values[{i}]", 0) for i, v in enumerate(_list(doc["values"], "values"))]
-        if len(values) != 1 << out["n"]:
-            raise SchemaError(
-                f"explicit values has length {len(values)}, expected {1 << out['n']}"
-            )
-        out["values"] = values
-    elif kind in ("graph_cut", "graph_boundary"):
-        out["vertices"] = [
-            _str(v, f"vertices[{i}]") for i, v in enumerate(_list(doc["vertices"], "vertices"))
-        ]
-        edges = []
-        for i, e in enumerate(_list(doc["edges"], "edges")):
-            e = _list(e, f"edges[{i}]")
-            if len(e) != 2:
-                raise SchemaError(f"edges[{i}] must be a pair")
-            edges.append([_str(e[0], f"edges[{i}][0]"), _str(e[1], f"edges[{i}][1]")])
-        out["edges"] = edges
-    elif kind == "hyperedge_boundary":
-        out["hyperedges"] = _sides(doc["hyperedges"], "hyperedges")
+def _walk(doc, fields, where, nested=False):
+    """Check ``doc`` against ``fields`` and return it in key order.
+
+    A document carries ``"version": 1`` first and names its fields by key; a
+    nested entry is unversioned and ``where`` is its path.
+    """
+    if nested:
+        _obj(doc, where)
+    _need(doc, where, fields, not nested)
+    out = {} if nested else {"version": 1}
+    for key, check in fields.items():
+        out[key] = check(doc[key], f"{where}.{key}" if nested else key)
     return out
 
 
-def _canon_family(doc):
-    _need(doc, "family", "k", "sides")
-    sides = _sides(doc["sides"], "sides")
-    if len({tuple(s) for s in sides}) != len(sides):
-        raise SchemaError("sides contains a duplicate")
-    return {"version": 1, "k": _int(doc["k"], "k", minimum=0), "sides": sides}
+def _entries(fields):
+    return _array_of(lambda value, where: _walk(value, fields, where, nested=True))
 
 
-def _canon_axiom_entry(entry, where):
-    _need({"version": 1, **_obj(entry, where)}, where, "id", "pass", "witness", "element")
-    if entry.get("id") not in _AXIOM_VALUES:
-        raise SchemaError(f"{where}: unknown axiom id {entry.get('id')!r}")
-    element = entry["element"]
-    if element is not None:
-        element = _int(element, f"{where}.element", minimum=0)
-    return {
-        "id": entry["id"],
-        "pass": _bool(entry["pass"], f"{where}.pass"),
-        "witness": _sides(entry["witness"], f"{where}.witness"),
-        "element": element,
-    }
+_SYSTEM_CHECKS = {
+    "kind": _str,
+    "n": lambda value, where: _int(value, where, 1),
+    "values": _array_of(_nat),
+    "vertices": _array_of(_str),
+    "edges": _array_of(_pair),
+    "hyperedges": _sides,
+}
+_SYSTEM_SHAPES = {
+    kind: {key: _SYSTEM_CHECKS[key] for key in ("kind", *fields)}
+    for kind, fields in SYSTEM_FIELDS.items()
+}
 
 
-def _canon_report(doc):
-    _need(doc, "structure report", "kind", "k", "variant", "axioms", "pass")
-    if doc["kind"] not in _KIND_VALUES:
-        raise SchemaError(f"structure report: unknown kind {doc['kind']!r}")
-    if doc["variant"] not in ("literal", "corrected"):
-        raise SchemaError(f"structure report: unknown variant {doc['variant']!r}")
-    axioms = [
-        _canon_axiom_entry(e, f"axioms[{i}]")
-        for i, e in enumerate(_list(doc["axioms"], "axioms"))
-    ]
-    return {
-        "version": 1,
-        "kind": doc["kind"],
-        "k": _int(doc["k"], "k", minimum=0),
-        "variant": doc["variant"],
-        "axioms": axioms,
-        "pass": _bool(doc["pass"], "pass"),
-    }
+def _system(doc, where="system", nested=False):
+    kind = _obj(doc, where).get("kind")
+    if kind not in SYSTEM_KINDS:
+        raise SchemaError(f"{where}: unknown kind {kind!r}")
+    out = _walk(doc, _SYSTEM_SHAPES[kind], where if nested else f"system[{kind}]", nested)
+    if kind == "explicit":
+        size, n = len(out["values"]), out["n"]
+        # bit lengths first: a huge declared n must not build 1 << n
+        if size.bit_length() != n + 1 or size != 1 << n:
+            raise SchemaError(f"explicit values has length {size}, expected 2**{n}")
+    return out
 
 
-def _canon_verdict(doc):
-    _need(doc, "equivalence verdict", "theorem", "system", "k", "pass",
-          "counts", "unmatched", "bw")
-    theorem = _int(doc["theorem"], "theorem")
-    if theorem not in (11, 12, 15, 16):
-        raise SchemaError(f"equivalence verdict: unknown theorem {theorem}")
-    counts = doc["counts"]
-    if not isinstance(counts, dict):
-        raise SchemaError("counts must be an object")
-    counts = {
-        _str(k, "counts key"): _int(v, f"counts[{k}]", minimum=0)
-        for k, v in counts.items()
-    }
-    unmatched = []
-    for i, entry in enumerate(_list(doc["unmatched"], "unmatched")):
-        _need({"version": 1, **_obj(entry, f"unmatched[{i}]")}, f"unmatched[{i}]",
-              "kind", "sides")
-        if entry["kind"] not in _KIND_VALUES:
-            raise SchemaError(f"unmatched[{i}]: unknown kind {entry['kind']!r}")
-        unmatched.append({
-            "kind": entry["kind"],
-            "sides": _sides(entry["sides"], f"unmatched[{i}].sides"),
-        })
-    bw = doc["bw"]
-    if bw is not None:
-        bw = _int(bw, "bw", minimum=0)
-    return {
-        "version": 1,
-        "theorem": theorem,
-        "system": _str(doc["system"], "system"),
-        "k": _int(doc["k"], "k", minimum=0),
-        "pass": _bool(doc["pass"], "pass"),
-        "counts": counts,
-        "unmatched": unmatched,
-        "bw": bw,
-    }
+_AXIOM_ENTRY = {
+    "id": _one_of(*_AXIOM_VALUES), "pass": _bool, "witness": _sides,
+    "element": _optional(_nat),
+}
+_UNMATCHED_ENTRY = {"kind": _one_of(*_KIND_VALUES), "sides": _sides}
+_COUNTEREXAMPLE = {
+    "system": lambda value, where: _system(value, where, nested=True), "k": _nat,
+    "claim": _str, "sides": _sides, "failing_axiom": _one_of(*_AXIOM_VALUES),
+    "witness": _sides,
+}
+_PER_K_ENTRY = {"k": _nat, "tangle_exists": _bool, "matches": _bool}
 
-
-def _canon_counterexample(entry, where):
-    _need({"version": 1, **_obj(entry, where)}, where, "system", "k", "claim",
-          "sides", "failing_axiom", "witness")
-    if entry["failing_axiom"] not in _AXIOM_VALUES:
-        raise SchemaError(f"{where}: unknown axiom {entry['failing_axiom']!r}")
-    inner = _obj(entry["system"], f"{where}.system")
-    if "version" in inner:
-        raise SchemaError(f"{where}.system must not nest a version field")
-    system = _canon_system({"version": 1, **inner})
-    system.pop("version")
-    return {
-        "system": system,
-        "k": _int(entry["k"], f"{where}.k", minimum=0),
-        "claim": _str(entry["claim"], f"{where}.claim"),
-        "sides": _sides(entry["sides"], f"{where}.sides"),
-        "failing_axiom": entry["failing_axiom"],
-        "witness": _sides(entry["witness"], f"{where}.witness"),
-    }
-
-
-def _canon_hunt(doc):
-    _need(doc, "hunt verdict", "problem", "corpus", "systems_examined",
-          "structures_examined", "counterexamples", "status")
-    problem = _int(doc["problem"], "problem")
-    if problem not in (9, 10):
-        raise SchemaError(f"hunt verdict: unknown problem {problem}")
-    if doc["status"] not in _HUNT_STATUSES:
-        raise SchemaError(f"hunt verdict: unknown status {doc['status']!r}")
-    if not isinstance(doc["corpus"], dict):
-        raise SchemaError("corpus must be an object")
-    counterexamples = [
-        _canon_counterexample(e, f"counterexamples[{i}]")
-        for i, e in enumerate(_list(doc["counterexamples"], "counterexamples"))
-    ]
-    return {
-        "version": 1,
-        "problem": problem,
-        "corpus": doc["corpus"],
-        "systems_examined": _int(doc["systems_examined"], "systems_examined", 0),
-        "structures_examined": _int(doc["structures_examined"], "structures_examined", 0),
-        "counterexamples": counterexamples,
-        "status": doc["status"],
-    }
-
-
-def _canon_duality(doc):
-    _need(doc, "duality report", "system", "bw", "max_tangle_order", "per_k",
-          "agrees", "degenerate")
-    per_k = []
-    for i, entry in enumerate(_list(doc["per_k"], "per_k")):
-        _need({"version": 1, **_obj(entry, f"per_k[{i}]")}, f"per_k[{i}]",
-              "k", "tangle_exists", "matches")
-        per_k.append({
-            "k": _int(entry["k"], f"per_k[{i}].k", minimum=0),
-            "tangle_exists": _bool(entry["tangle_exists"], f"per_k[{i}].tangle_exists"),
-            "matches": _bool(entry["matches"], f"per_k[{i}].matches"),
-        })
-    return {
-        "version": 1,
-        "system": _str(doc["system"], "system"),
-        "bw": _int(doc["bw"], "bw", minimum=0),
-        "max_tangle_order": _int(doc["max_tangle_order"], "max_tangle_order", 0),
-        "per_k": per_k,
-        "agrees": _bool(doc["agrees"], "agrees"),
-        "degenerate": _bool(doc["degenerate"], "degenerate"),
-    }
-
-
-def _nested_tree(value, where):
-    if isinstance(value, bool):
-        raise SchemaError(f"{where} must be an element index or array")
-    if isinstance(value, int):
-        if value < 0:
-            raise SchemaError(f"{where} must be >= 0")
-        return value
-    if isinstance(value, list):
-        return [_nested_tree(v, f"{where}[{i}]") for i, v in enumerate(value)]
-    raise SchemaError(f"{where} must be an element index or array")
-
-
-def _canon_branchwidth(doc):
-    _need(doc, "branch-width report", "system", "width", "tree")
-    return {
-        "version": 1,
-        "system": _str(doc["system"], "system"),
-        "width": _int(doc["width"], "width", minimum=0),
-        "tree": _nested_tree(doc["tree"], "tree"),
-    }
+# identifying key -> (shape, fields), tried in this order; a document with
+# none of these keys but a "kind" is a system
+_SHAPES = {
+    "axioms": ("structure report", {
+        "kind": _one_of(*_KIND_VALUES), "k": _nat,
+        "variant": _one_of("literal", "corrected"),
+        "axioms": _entries(_AXIOM_ENTRY), "pass": _bool,
+    }),
+    "theorem": ("equivalence verdict", {
+        "theorem": _one_of(11, 12, 15, 16, base=_int), "system": _str,
+        "k": _nat, "pass": _bool, "counts": _counts,
+        "unmatched": _entries(_UNMATCHED_ENTRY), "bw": _optional(_nat),
+    }),
+    "problem": ("hunt verdict", {
+        "problem": _one_of(9, 10, base=_int), "corpus": _obj,
+        "systems_examined": _nat, "structures_examined": _nat,
+        "counterexamples": _entries(_COUNTEREXAMPLE),
+        "status": _one_of(HUNT_NONE_FOUND, HUNT_FOUND, HUNT_BUDGET),
+    }),
+    "per_k": ("duality report", {
+        "system": _str, "bw": _nat, "max_tangle_order": _nat,
+        "per_k": _entries(_PER_K_ENTRY), "agrees": _bool, "degenerate": _bool,
+    }),
+    "tree": ("branch-width report", {"system": _str, "width": _nat, "tree": _tree}),
+    "sides": ("family", {"k": _nat, "sides": _family_sides}),
+}
 
 
 def _canon_document(doc):
-    if "axioms" in doc:
-        return _canon_report(doc)
-    if "theorem" in doc:
-        return _canon_verdict(doc)
-    if "problem" in doc:
-        return _canon_hunt(doc)
-    if "per_k" in doc:
-        return _canon_duality(doc)
-    if "tree" in doc:
-        return _canon_branchwidth(doc)
-    if "sides" in doc:
-        return _canon_family(doc)
+    for key, (shape, fields) in _SHAPES.items():
+        if key in doc:
+            return _walk(doc, fields, shape)
     if "kind" in doc:
-        return _canon_system(doc)
+        return _system(doc)
     raise SchemaError("document shape not recognised")
 
 
@@ -361,12 +292,8 @@ def _canon_document(doc):
 # object -> document
 
 
-def _side_list(separation):
-    return list(separation.first_elements())
-
-
-def _family_sides(family):
-    return [_side_list(s) for s in family.members]
+def _side_lists(masks):
+    return [mask_elements(m) for m in masks]
 
 
 def to_document(obj) -> dict:
@@ -376,7 +303,7 @@ def to_document(obj) -> dict:
     if isinstance(obj, ConnectivitySystem):
         return {"version": 1, **system_descriptor(obj)}
     if isinstance(obj, SeparationFamily):
-        return {"version": 1, "k": obj.k, "sides": _family_sides(obj)}
+        return {"version": 1, "k": obj.k, "sides": _side_lists(obj.member_masks)}
     if isinstance(obj, StructureReport):
         return {
             "version": 1,
@@ -387,7 +314,7 @@ def to_document(obj) -> dict:
                 {
                     "id": r.axiom.value,
                     "pass": r.passed,
-                    "witness": [_side_list(s) for s in r.witness],
+                    "witness": _side_lists(s.first for s in r.witness),
                     "element": r.element,
                 }
                 for r in obj.results
@@ -403,7 +330,7 @@ def to_document(obj) -> dict:
             "pass": obj.passed,
             "counts": dict(obj.counts),
             "unmatched": [
-                {"kind": kind, "sides": _family_sides(f)}
+                {"kind": kind, "sides": _side_lists(f.member_masks)}
                 for kind, f in obj.unmatched
             ],
             "bw": obj.bw,
@@ -420,9 +347,9 @@ def to_document(obj) -> dict:
                     "system": system_descriptor(c.system),
                     "k": c.k,
                     "claim": c.claim,
-                    "sides": _family_sides(c.family),
+                    "sides": _side_lists(c.family.member_masks),
                     "failing_axiom": c.failing_axiom.value,
-                    "witness": [_side_list(s) for s in c.witness],
+                    "witness": _side_lists(s.first for s in c.witness),
                 }
                 for c in obj.counterexamples
             ],

@@ -214,14 +214,14 @@ class _Searcher:
         self.prune = prune
         self.limit = limit
         self.budget = budget
-        self.rules = _Rules(system, k, kind, variant)
-        full = system.full_mask
-        self.slots = [m for m in self.rules.eff if m <= full ^ m]
         if system.n > budget.max_ground_set:
             raise SearchBudgetError(
                 f"ground set of {system.n} exceeds budget "
                 f"max_ground_set={budget.max_ground_set}"
             )
+        self.rules = _Rules(system, k, kind, variant)
+        full = system.full_mask
+        self.slots = [m for m in self.rules.eff if m <= full ^ m]
         if len(self.slots) > budget.max_unordered:
             raise SearchBudgetError(
                 f"{len(self.slots)} unordered separations exceed budget "

@@ -20,6 +20,11 @@ from .exceptions import GroundSetLimitError
 ENUMERATION_LIMIT = 16
 
 
+def mask_elements(mask: int) -> list[int]:
+    """The elements of the subset encoded by ``mask``, ascending."""
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
 @dataclass(frozen=True)
 class Separation:
     """An oriented separation (first, second) with its cached order."""
@@ -33,10 +38,10 @@ class Separation:
         return Separation(self.system, self.second, self.first, self.order)
 
     def first_elements(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.system.n) if self.first >> i & 1)
+        return tuple(mask_elements(self.first))
 
     def __repr__(self):
-        side = "{" + ",".join(map(str, self.first_elements())) + "}"
+        side = "{" + ",".join(map(str, mask_elements(self.first))) + "}"
         return f"Separation({side}, order={self.order})"
 
 
@@ -167,6 +172,6 @@ class SeparationFamily:
 
     def __repr__(self):
         sides = ",".join(
-            "{" + ",".join(map(str, s.first_elements())) + "}" for s in self.members
+            "{" + ",".join(map(str, mask_elements(m))) + "}" for m in self.member_masks
         )
         return f"SeparationFamily(k={self.k}, first_sides=[{sides}])"

@@ -346,3 +346,24 @@ class TestSystemResolution:
         )
         assert result.returncode == 0
         assert result.stdout == "tanglekit, version 0.1.0\n"
+
+
+def test_documents_do_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(tanglekit.__file__).parents[1])
+    commands = {
+        "hunt": ["hunt", "--problem", "9", "--n", "4", "--systems", "3", "--seed", "7"],
+        "theorems": ["verify-theorems", "--system", "c4", "--k", "1"],
+    }
+    runs = {name: [] for name in commands}
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        for name, args in commands.items():
+            path = tmp_path / f"{name}-{hash_seed}.json"
+            result = subprocess.run(
+                [sys.executable, "-m", "tanglekit", *args, "--json", str(path)],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert result.returncode in (0, 1), result.stderr
+            runs[name].append((result.returncode, path.read_bytes()))
+    for name, (first, second) in runs.items():
+        assert first == second, name

@@ -20,6 +20,7 @@ from tanglekit import (
     verify_branchwidth_duality,
     verify_theorem,
 )
+from tanglekit import duality
 from tanglekit.duality import _cubic_trees, _leaf_side
 
 DOUBLE_FACTORIALS = {2: 1, 3: 1, 4: 3, 5: 15, 6: 105, 7: 945}
@@ -118,6 +119,22 @@ class TestBranchWidth:
                     tuple(sorted(min(m, c4.full_mask ^ m) for m in displayed))
                 )
         assert bd.splits == min(candidates)
+
+    def test_trees_are_enumerated_once_per_system(self, monkeypatch):
+        system = random_hyperedge_system(5, 5, 3, seed=3)
+        fresh = branch_width(random_hyperedge_system(5, 5, 3, seed=3))
+        calls = []
+        monkeypatch.setattr(
+            duality, "_cubic_trees", lambda n: calls.append(n) or _cubic_trees(n)
+        )
+        verdicts = [
+            verify_theorem(t, system, k)
+            for k in range(system.max_order() + 1) for t in (15, 16)
+        ]
+        width, tree = branch_width(system)
+        assert calls == [5]
+        assert {v.bw for v in verdicts} == {width} == {fresh[0]}
+        assert (tree.edges, tree.splits) == (fresh[1].edges, fresh[1].splits)
 
     def test_deterministic(self, k4):
         assert branch_width(k4) == branch_width(k4)

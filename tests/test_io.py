@@ -26,6 +26,8 @@ from tanglekit import (
 )
 
 MIN3_TABLE = [0, 1, 1, 1, 1, 1, 1, 0]
+# side elements that are not non-negative integers; 1.0 == 1 and True == 1
+BAD_ELEMENTS = (True, -1, 1.0)
 
 
 def write(tmp_path, payload, name="doc.json"):
@@ -104,9 +106,15 @@ class TestSystemDocuments:
             {"version": 1, "kind": "min_cardinality"},
             {"version": 1, "kind": "explicit", "n": 1, "values": [0, True]},
             {"version": 1, "kind": "explicit", "n": 1, "values": [0, -1]},
+            {"version": 1, "kind": "explicit", "n": 20000, "values": [0, 0]},
             {"version": 1, "kind": "graph_cut", "vertices": ["a"], "edges": [["a"]]},
             {"version": 1, "kind": "hyperedge_boundary", "n": 2,
              "hyperedges": [[1, 0]]},
+            *(
+                {"version": 1, "kind": "hyperedge_boundary", "n": 2,
+                 "hyperedges": [[0, bad]]}
+                for bad in BAD_ELEMENTS
+            ),
         ]
         for doc in cases:
             with pytest.raises(SchemaError):
@@ -142,9 +150,17 @@ class TestFamilyDocuments:
             load_family(path, min3)
 
     def test_malformed_sides(self, tmp_path, min3):
-        for sides in [[[1, 0]], [[0, 0]], [["a"]], "nope"]:
+        for sides, message in [
+            ([[1, 0]], r"sides\[0\] must be sorted ascending"),
+            ([[0, 0]], r"sides\[0\] repeats an element"),
+            ([["a"]], r"sides\[0\]\[0\] must be an integer"),
+            ("nope", "sides must be an array"),
+            ([[0, True]], r"sides\[0\]\[1\] must be an integer"),
+            ([[0, -1]], r"sides\[0\]\[1\] must be >= 0"),
+            ([[0, 1.0]], r"sides\[0\]\[1\] must be an integer"),
+        ]:
             path = write(tmp_path, {"version": 1, "k": 0, "sides": sides})
-            with pytest.raises(SchemaError):
+            with pytest.raises(SchemaError, match=message):
                 load_family(path, min3)
 
     def test_negative_k(self, tmp_path, min3):
@@ -197,7 +213,14 @@ class TestReportDocuments:
         bad_variant = {**good, "variant": "fixed"}
         bad_axiom = {**good, "axioms": [{**good["axioms"][0], "id": "T9"}]}
         truncated_entry = {**good, "axioms": [{"id": "T1", "pass": True}]}
-        for doc in (bad_kind, bad_variant, bad_axiom, truncated_entry):
+        versioned_entry = {**good, "axioms": [{**good["axioms"][0], "version": 1}]}
+        unhashable_kind = {**good, "kind": ["tangle"]}
+        bad_witnesses = [
+            {**good, "axioms": [{**good["axioms"][0], "witness": [[0, bad]]}]}
+            for bad in BAD_ELEMENTS
+        ]
+        for doc in (bad_kind, bad_variant, bad_axiom, truncated_entry,
+                    versioned_entry, unhashable_kind, *bad_witnesses):
             with pytest.raises(SchemaError):
                 load_document(write(tmp_path, doc))
 
@@ -222,6 +245,8 @@ class TestVerdictDocuments:
         good = to_document(verify_theorem(11, min3, 0))
         for doc in (
             {**good, "theorem": 13},
+            {**good, "theorem": 11.0},
+            {**good, "k": 0.0},
             {**good, "counts": {"tangle": -1}},
             {**good, "counts": "many"},
             {**good, "unmatched": [{"kind": "tangle"}]},
@@ -273,6 +298,11 @@ class TestHuntDocuments:
             {**good, "counterexamples": [
                 {**ce, "system": {"version": 1, **ce["system"]}}
             ]},
+            {**good, "counterexamples": [{**ce, "version": 1}]},
+            *(
+                {**good, "counterexamples": [{**ce, "witness": [[0, bad]]}]}
+                for bad in BAD_ELEMENTS
+            ),
         ):
             with pytest.raises(SchemaError):
                 load_document(write(tmp_path, doc))
@@ -326,7 +356,7 @@ class TestStrictIngest:
         with pytest.raises(SchemaError, match="duplicate JSON keys"):
             load_family(path, min3)
 
-    @pytest.mark.parametrize("version", [0, 2, "1", True, None])
+    @pytest.mark.parametrize("version", [0, 2, "1", True, None, 1.0])
     def test_version_gate(self, tmp_path, min3, version):
         path = write(tmp_path, {"version": version, "k": 0, "sides": [[0]]})
         with pytest.raises(SchemaError):

@@ -190,8 +190,14 @@ class TestEnumerateAll:
         assert full.complete and len(full) == 192
 
     def test_structural_budget_checks(self):
+        # the ground-set budget is checked before the value table is built,
+        # so it also wins over the enumeration cap at 17 <= n <= 24
+        system = min_cardinality_system(9)
         with pytest.raises(SearchBudgetError):
-            enumerate_all("tangle", min_cardinality_system(9), 1)
+            enumerate_all("tangle", system, 1)
+        assert system._table is None
+        with pytest.raises(SearchBudgetError):
+            enumerate_all("tangle", min_cardinality_system(17), 1)
         with pytest.raises(SearchBudgetError):
             enumerate_all(
                 "tangle", min_cardinality_system(5), 2, SearchBudget(max_unordered=8)

@@ -19,7 +19,7 @@ from tanglekit import (
     make_separation,
     min_cardinality_system,
 )
-from tanglekit.separations import efficient_context
+from tanglekit.separations import efficient_context, mask_elements
 
 # k4's edge-boundary table has exactly these first sides at order <= 2,
 # frozen from a full 64-entry table scan
@@ -44,6 +44,10 @@ class TestConstruction:
     def test_first_elements(self, min3):
         assert make_separation(min3, 0b101).first_elements() == (0, 2)
         assert make_separation(min3, 0).first_elements() == ()
+
+    def test_mask_elements_lists_set_bits_ascending(self):
+        for m in range(1 << 10):
+            assert mask_elements(m) == [e for e in range(10) if m >> e & 1]
 
     def test_repr_shows_first_side_and_order(self, min3):
         assert repr(make_separation(min3, 0b011)) == "Separation({0,1}, order=1)"
