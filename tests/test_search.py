@@ -1,5 +1,7 @@
 """Orientation search against full-sweep oracles, plus the hunters."""
 
+import hashlib
+
 import pytest
 
 import oracle
@@ -8,6 +10,7 @@ from tanglekit import (
     HUNT_BUDGET,
     HUNT_FOUND,
     HUNT_NONE_FOUND,
+    ORIENTATION_KINDS,
     STATUS_BUDGET,
     STATUS_COMPLETE,
     AxiomId,
@@ -93,15 +96,38 @@ class TestEnumerateAll:
     def test_pruning_changes_nothing(self, name, ks):
         system = get_system(name)
         for k in ks:
-            for kind in StructureKind:
-                if kind is StructureKind.FILTER_BASE:
-                    continue
-                pruned = enumerate_all(kind, system, k, prune=True)
-                swept = enumerate_all(kind, system, k, prune=False)
-                assert [f.member_masks for f in pruned] == [
-                    f.member_masks for f in swept
-                ], (name, k, kind.value)
-                assert pruned.complete and swept.complete
+            for kind in ORIENTATION_KINDS:
+                variants = ("corrected", "literal") if kind in PROFILE_KINDS else (
+                    "corrected",
+                )
+                for variant in variants:
+                    pruned = enumerate_all(kind, system, k, variant=variant)
+                    swept = enumerate_all(
+                        kind, system, k, variant=variant, prune=False
+                    )
+                    assert [f.member_masks for f in pruned] == [
+                        f.member_masks for f in swept
+                    ], (name, k, kind.value, variant)
+                    assert pruned.complete and swept.complete
+
+    def test_node_counts_match_the_pin(self, c4, k4):
+        """Nodes of every kind and variant on c4 and k4 at every k, frozen.
+
+        Node counts follow the order of every forced, closure and conflict
+        rule, so a pruning rule that is dropped, added or reordered shows
+        here even when the families stay the same.
+        """
+        nodes = [
+            enumerate_all(kind, system, k, variant=variant).nodes
+            for system in (c4, k4)
+            for k in range(system.max_order() + 1)
+            for kind in ORIENTATION_KINDS
+            for variant in ("literal", "corrected")
+        ]
+        assert len(nodes) == 180 and sum(nodes) == 16_694
+        assert hashlib.sha256(repr(nodes).encode()).hexdigest() == (
+            "8a78cc164a01311d9730240b5c2f952cf9c2cdea751d57cb6f0c0922860c3e54"
+        )
 
     def test_frozen_counts_on_min3(self, min3):
         at_k0 = {

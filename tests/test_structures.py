@@ -5,6 +5,10 @@ or every orientation family (larger ones) and demand bit-for-bit agreement
 with the frozenset predicates in oracle.py.
 """
 
+import hashlib
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from tanglekit import (
     SeparationFamily,
     StructureKind,
     axiom_ids,
+    builtin_system,
     check_axiom,
     check_filter_base_generates,
     check_structure,
@@ -478,6 +483,45 @@ class TestWitnessSoundness:
         for mask in range(1, 7):
             res = check_axiom(min3, 0, family(min3, 0, [mask]), A.P0)
             assert not res.passed and witness_refails(min3, 0, [mask], res)
+
+
+def pinned_families(system, k):
+    """Every subset of the k-efficient masks up to 8 of them, else 120 seeded ones."""
+    masks = efficient_masks(system, k)
+    if len(masks) <= 8:
+        for size in range(len(masks) + 1):
+            yield from itertools.combinations(masks, size)
+        return
+    rng = random.Random(f"{system.name}-{k}")
+    for _ in range(120):
+        yield tuple(m for m in masks if rng.random() < 0.5)
+
+
+class TestPinnedResults:
+    def test_every_axiom_result_matches_the_pin(self):
+        """Verdicts, first witnesses and elements of every axiom, frozen.
+
+        The digest covers 25,400 checks: every AxiomId on the families of
+        ``pinned_families`` over min3, p3, c4 and k4 at every k.  Any change
+        to a clause, its scan order or its witness changes the digest.
+        """
+        digest = hashlib.sha256()
+        checks = 0
+        for name in ("min3", "p3", "c4", "k4"):
+            system = builtin_system(name)
+            for k in range(system.max_order() + 1):
+                for masks in pinned_families(system, k):
+                    fam = family(system, k, masks)
+                    for ax in A:
+                        res = check_axiom(system, k, fam, ax)
+                        firsts = tuple(w.first for w in res.witness)
+                        entry = (res.axiom.value, res.passed, firsts, res.element)
+                        digest.update(repr(entry).encode())
+                        checks += 1
+        assert checks == 25_400
+        assert digest.hexdigest() == (
+            "b3f509372ad07360d601febb84c7d45c9665f0a5f7436d45e8635ac17b54505d"
+        )
 
 
 class TestFilterBaseClosure:
