@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .connectivity import ConnectivitySystem
 from .exceptions import GroundSetLimitError, SearchBudgetError
 from .separations import SeparationFamily
-from .search import SearchBudget, enumerate_all, find_one
+from .search import SearchBudget, enumerate_all, find_one, unmatched_duals
 from .structures import StructureKind
 
 TREE_ENUMERATION_LIMIT = 8
@@ -235,17 +235,9 @@ def verify_theorem(
         left_kind, right_kind = _BIJECTION_SIDES[theorem]
         left = _enumerate_or_raise(left_kind, system, k, budget)
         right = _enumerate_or_raise(right_kind, system, k, budget)
-        left_keys = {f.member_masks for f in left}
-        right_keys = {f.member_masks for f in right}
         unmatched = [
-            (left_kind.value, f)
-            for f in left
-            if f.dual_masks() not in right_keys
-        ] + [
-            (right_kind.value, f)
-            for f in right
-            if f.dual_masks() not in left_keys
-        ]
+            (left_kind.value, f) for f in unmatched_duals(left, right)
+        ] + [(right_kind.value, f) for f in unmatched_duals(right, left)]
         counts = {left_kind.value: len(left), right_kind.value: len(right)}
         return EquivalenceVerdict(
             theorem, system.describe(), k,

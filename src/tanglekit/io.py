@@ -54,11 +54,12 @@ _KIND_VALUES = tuple(k.value for k in StructureKind)
 
 
 def _reject_duplicate_keys(pairs):
-    keys = [k for k, _ in pairs]
-    if len(set(keys)) != len(keys):
-        dup = sorted(k for k in set(keys) if keys.count(k) > 1)
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        keys = [k for k, _ in pairs]
+        dup = sorted(k for k in doc if keys.count(k) > 1)
         raise SchemaError(f"duplicate JSON keys: {dup}")
-    return dict(pairs)
+    return doc
 
 
 def _parse(path):

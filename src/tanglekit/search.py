@@ -31,6 +31,7 @@ from .structures import (
     ORIENTATION_KINDS,
     AxiomId,
     StructureKind,
+    axiom_ids,
     check_axiom,
     check_structure,
 )
@@ -76,132 +77,123 @@ class _Cut(Exception):
     """Internal signal: node or time budget hit mid-search."""
 
 
+def _flip(on, clause, reversed_reading, full):
+    """0 if ``clause`` is on, the full mask if its reversed reading is, else None."""
+    return 0 if clause in on else full if reversed_reading in on else None
+
+
 class _Rules:
-    """Sound pruning rules for one (kind, variant) pair.
+    """Sound pruning rules, each switched on by the axiom that justifies it.
 
     ``forced`` pre-assigns orientations implied by the axioms alone,
     ``closure`` lists orientations implied by one newly chosen side, and
-    ``conflict`` recognises assignments no extension can repair.  Soundness
-    arguments live next to each rule; completeness comes from the leaf
-    re-check, so a missing rule costs time, never results.
+    ``conflict`` recognises assignments no extension can repair.  A rule
+    keyed by a clause and the rule keyed by its reading through reversal
+    share one body: ``flip`` is 0 or the full mask, XORed into the masks
+    the rule reads.  The rules restate the clauses instead of calling the
+    checkers, so the leaf re-check stays independent; completeness comes
+    from that re-check, so a missing rule costs time, never results.
     """
 
-    def __init__(self, system: ConnectivitySystem, k: int, kind: StructureKind,
-                 variant: str):
-        self.kind = kind
-        self.variant = variant
-        self.full = system.full_mask
+    def __init__(self, system: ConnectivitySystem, k: int, axioms):
+        on = set(axioms)
+        full = self.full = system.full_mask
         context = efficient_context(system, k)
         self.eff = context.masks
         self.eff_set = context.mask_set
         self.eff_bits = [1 << e for e in context.elements]
-        t = (StructureKind.TANGLE, StructureKind.LINEAR_TANGLE)
-        u = (
-            StructureKind.ULTRAFILTER,
-            StructureKind.SINGLE_ULTRAFILTER,
-            StructureKind.WEAK_ULTRAFILTER,
-        )
-        self.tangle_side = kind in t
-        self.filter_side = kind in u
-        self.profile_side = not self.tangle_side and not self.filter_side
-        self.linear = kind in (
-            StructureKind.LINEAR_TANGLE,
-            StructureKind.LINEAR_PROFILE,
-            StructureKind.NON_PRINCIPAL_LINEAR_PROFILE,
-        )
+        self.empty_out = AxiomId.F2 in on
+        self.singles_in = AxiomId.T2 in on or AxiomId.P4 in on
+        self.singles_out = AxiomId.F3 in on
+        # flip: 0 reads a clause on the members, the full mask on their reversals;
+        # LT3 ranges over k-efficient elements, so without one it implies nothing
+        if AxiomId.T3 in on or AxiomId.P2 in on or (AxiomId.LT3 in on and self.eff_bits):
+            self.below = 0
+        else:
+            self.below = full if AxiomId.F4 in on else None
+        if self.below is not None:
+            self.eff_read = [b ^ self.below for b in self.eff]
+        self.pair = _flip(on, AxiomId.P3B, AxiomId.F5, full)
+        self.shrink = AxiomId.SF5 in on
+        self.cover = AxiomId.T3 in on
+        self.line = AxiomId.LT3 in on
+        self.disjoint = AxiomId.F4 in on
+        self.pair_ban = _flip(on, AxiomId.P3A_LITERAL, AxiomId.P3A_CORRECTED, full)
+        self.element_ban = _flip(on, AxiomId.SP3_LITERAL, AxiomId.SP3_CORRECTED, full)
 
     def forced(self) -> dict[int, int]:
         """canonical mask -> required orientation, from single-member axioms."""
         out = {}
         if 0 in self.eff_set:
-            if self.filter_side:
+            if self.empty_out:
                 out[0] = self.full  # F2
-            elif self.kind is StructureKind.LINEAR_TANGLE and not self.eff_bits:
-                pass  # no efficient element, so LT3 cannot refute (X, emptyset)
-            else:
-                out[0] = 0  # T3 on (X,X,X); P2+P3a refute the big side
-        singles_in = self.tangle_side or self.kind in (
-            StructureKind.NON_PRINCIPAL_PROFILE,
-            StructureKind.NON_PRINCIPAL_LINEAR_PROFILE,
-        )
+            elif self.below is not None:
+                # the other orientation would pull in its own reversal
+                # through the closure below (T3, LT3, P2; F4 reversed)
+                out[0] = self.below
         for bit in self.eff_bits:
-            if singles_in:
+            if self.singles_in:
                 out[bit] = bit  # T2 / P4
-            elif self.filter_side:
+            elif self.singles_out:
                 out[bit] = self.full ^ bit  # F3
         return out
 
     def closure(self, m: int, chosen: set[int]) -> list[int]:
         out = []
-        if self.tangle_side:
-            if self.kind is StructureKind.TANGLE or self.eff_bits:
-                # subsets of a member are members: the complement choice
-                # would give a triple (m, B, B) covering X (T3/LT3)
-                out.extend(b for b in self.eff if b & ~m == 0)
-        elif self.filter_side:
-            out.extend(c for c in self.eff if m & ~c == 0)  # F4
-            if self.kind is StructureKind.ULTRAFILTER:
-                for x in chosen:
-                    meet = m & x
-                    if meet in self.eff_set:
-                        out.append(meet)  # F5
-            elif self.kind is StructureKind.SINGLE_ULTRAFILTER:
-                for bit in self.eff_bits:
-                    shrunk = m & ~bit
-                    if shrunk in self.eff_set:
-                        out.append(shrunk)  # SF5
-        else:
-            out.extend(b for b in self.eff if b & ~m == 0)  # P2
-            if not self.linear:
-                for x in chosen:
-                    join = m | x
-                    if join in self.eff_set:
-                        out.append(join)  # P3b
+        flip = self.below
+        if flip is not None:
+            # T3 / LT3 / P2: efficient sets below a member are members, since
+            # the other orientation would give a covering triple (m, B, B);
+            # read through reversal, F4 puts efficient sets above a member
+            outside = ~(m ^ flip)
+            out.extend(b ^ flip for b in self.eff_read if b & outside == 0)
+        flip = self.pair
+        if flip is not None:
+            read = m ^ flip
+            for x in chosen:
+                join = (read | (x ^ flip)) ^ flip
+                if join in self.eff_set:
+                    out.append(join)  # P3b, and F5 through reversal
+        if self.shrink:
+            for bit in self.eff_bits:
+                shrunk = m & ~bit
+                if shrunk in self.eff_set:
+                    out.append(shrunk)  # SF5
         return out
 
     def conflict(self, m: int, chosen: set[int]) -> bool:
         full = self.full
-        if self.filter_side:
-            if m == 0:
-                return True
-            # two members with disjoint first sides violate F4 either way
-            return any(m & x == 0 for x in chosen)
+        if self.empty_out and m == 0:
+            return True  # F2
+        # two members with disjoint first sides violate F4 either way
+        if self.disjoint and any(m & x == 0 for x in chosen):
+            return True
         both = [m, *chosen]
-        if self.kind is StructureKind.TANGLE:
+        if self.cover:
             for i, x in enumerate(both):
                 mx = m | x
                 if any(mx | y == full for y in both[i:]):
-                    return True
-            return False
-        if self.kind is StructureKind.LINEAR_TANGLE:
+                    return True  # T3
+        if self.line:
             for x in both:
                 rest = full ^ (m | x)
-                if rest == 0:
-                    if self.eff_bits:
-                        return True
-                elif rest in self.eff_bits:
-                    return True
-            return False
-        # profile kinds: scan the patterns the no-membership clauses forbid
-        members = set(both)
-        if self.linear:
+                if (rest == 0 and self.eff_bits) or rest in self.eff_bits:
+                    return True  # LT3
+        # the no-membership clauses: scan the patterns they forbid
+        flip = self.pair_ban
+        if flip is not None:
+            members = set(both)
+            for i, x in enumerate(both):
+                for y in both[i:]:
+                    if (x ^ flip) & (y ^ flip) in members:
+                        return True  # P3a
+        flip = self.element_ban
+        if flip is not None:
+            members = set(both)
             for a in both:
                 for bit in self.eff_bits:
-                    if self.variant == "corrected":
-                        banned = full ^ (a | bit)
-                    else:
-                        banned = a & ~bit
-                    if banned in members:
-                        return True
-            return False
-        for i, x in enumerate(both):
-            for y in both[i:]:
-                if self.variant == "corrected":
-                    banned = full ^ (x | y)
-                else:
-                    banned = x & y
-                if banned in members:
-                    return True
+                    if (a ^ flip) & ~bit in members:
+                        return True  # SP3
         return False
 
 
@@ -219,7 +211,7 @@ class _Searcher:
                 f"ground set of {system.n} exceeds budget "
                 f"max_ground_set={budget.max_ground_set}"
             )
-        self.rules = _Rules(system, k, kind, variant)
+        self.rules = _Rules(system, k, axiom_ids(kind, variant))
         full = system.full_mask
         self.slots = [m for m in self.rules.eff if m <= full ^ m]
         if len(self.slots) > budget.max_unordered:
@@ -247,7 +239,7 @@ class _Searcher:
                 raise _Cut
 
     def _canon(self, m):
-        comp = self.system.full_mask ^ m
+        comp = self.rules.full ^ m
         return m if m <= comp else comp
 
     def _assign(self, canon, mask, trail) -> bool:
@@ -296,7 +288,7 @@ class _Searcher:
             self._emit_if_valid()
             return
         canon = self.slots[idx]
-        for mask in (canon, self.system.full_mask ^ canon):
+        for mask in (canon, self.rules.full ^ canon):
             trail = []
             if self.prune:
                 ok = self._assign(canon, mask, trail)
@@ -379,6 +371,12 @@ def find_one(
             f"{StructureKind(kind).value} found; absence not established"
         )
     return None
+
+
+def unmatched_duals(side, other) -> list[SeparationFamily]:
+    """The families of ``side``, in order, whose dual is not in ``other``."""
+    partners = {f.member_masks for f in other}
+    return [f for f in side if f.dual_masks() not in partners]
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +509,13 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
                 (tangles, wufs, StructureKind.WEAK_ULTRAFILTER,
                  "tangle_dual_not_weak_ultrafilter"),
             ):
-                partners = {f.member_masks for f in other}
-                for fam in side:
-                    dual_masks = fam.dual_masks()
-                    if dual_masks not in partners:
-                        dual = SeparationFamily.from_masks(system, k, dual_masks)
-                        report = check_structure(system, k, dual, dual_kind)
-                        fail = report.failures()[0]
-                        counterexamples.append(Counterexample(
-                            system, k, claim, fam, fail.axiom, fail.witness,
-                        ))
+                for fam in unmatched_duals(side, other):
+                    dual = SeparationFamily.from_masks(system, k, fam.dual_masks())
+                    report = check_structure(system, k, dual, dual_kind)
+                    fail = report.failures()[0]
+                    counterexamples.append(Counterexample(
+                        system, k, claim, fam, fail.axiom, fail.witness,
+                    ))
 
     if cut:
         status = HUNT_BUDGET

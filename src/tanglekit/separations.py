@@ -90,8 +90,10 @@ def efficient_context(system: ConnectivitySystem, k: int) -> EfficientContext:
     """The context at bound k, built on first use and cached on the system.
 
     The cache is an attribute of the system, so it is freed with the system.
-    Needs n <= ENUMERATION_LIMIT.
+    Needs k >= 0 and n <= ENUMERATION_LIMIT.
     """
+    if k < 0:
+        raise ValueError("k must be non-negative")
     context = system._contexts.get(k)
     if context is None:
         if system.n > ENUMERATION_LIMIT:
@@ -114,10 +116,7 @@ def enumerate_k_efficient(system: ConnectivitySystem, k: int) -> list[Separation
 
     Both orientations of every unordered separation appear.
     """
-    masks = efficient_masks(system, k)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return [make_separation(system, m) for m in masks]
+    return [make_separation(system, m) for m in efficient_masks(system, k)]
 
 
 @dataclass(frozen=True)
@@ -167,6 +166,8 @@ class SeparationFamily:
 
     def __contains__(self, item) -> bool:
         if isinstance(item, Separation):
+            if item.system is not self.system:
+                return False
             item = item.first
         return item in self.member_masks
 

@@ -26,6 +26,21 @@ forbids (B1 cap B2, A1 cup A2) instead.  SP3 is analogous (the literal form
 is refuted by the forced member (emptyset, X) whenever a k-efficient element
 exists).  Both readings are kept; ``corrected`` is the default.
 
+Reversing every member, (A, B) -> (B, A), turns small sides into big ones,
+so five clauses are written once and read a second time through reversal
+(the checker XORs ``flip``, 0 or the full mask, into the masks it scans and
+back out of the witness):
+
+=============  ==========================  ===============================
+clause         read through reversal       shared scan
+=============  ==========================  ===============================
+T3             F6                          no member triple covers X
+P2             F4                          efficient sets below a member
+P3b            F5                          joins of order <= k are members
+P3a_literal    P3a_corrected               meets of members are no members
+SP3_literal    SP3_corrected               a member less e is no member
+=============  ==========================  ===============================
+
 Tangle-side reports carry a T4 entry and ultrafilter-side reports an F6
 entry.  These are informational: both properties are consequences of the
 axioms rather than axioms themselves, so they never affect the overall pass.
@@ -35,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 from .connectivity import ConnectivitySystem
 from .exceptions import FilterBaseError
@@ -145,11 +160,16 @@ def axiom_ids(kind: StructureKind, variant: str = "corrected") -> tuple[AxiomId,
     """The concrete axiom list checked for a kind, P0 first."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    resolved = tuple(
+    return _resolve(StructureKind(kind), variant)
+
+
+@cache
+def _resolve(kind, variant):
+    # every search and every check resolves its list, so resolve each pair once
+    return (AxiomId.P0,) + tuple(
         _VARIANT_SLOTS[a][variant] if not isinstance(a, AxiomId) else a
-        for a in _KIND_AXIOMS[StructureKind(kind)]
+        for a in _KIND_AXIOMS[kind]
     )
-    return (AxiomId.P0,) + resolved
 
 
 @dataclass(frozen=True)
@@ -240,17 +260,6 @@ def _check_singletons_in(axiom, ctx):
     return _ok(axiom)
 
 
-def _check_t3(ctx):
-    ms = ctx.masks
-    for i, a1 in enumerate(ms):
-        for j in range(i, len(ms)):
-            a12 = a1 | ms[j]
-            for l in range(j, len(ms)):
-                if a12 | ms[l] == ctx.full:
-                    return _fail(AxiomId.T3, ctx, (a1, ms[j], ms[l]))
-    return _ok(AxiomId.T3)
-
-
 def _check_lt3(ctx):
     ms = ctx.masks
     singles = [(e, 1 << e) for e in ctx.eff.elements]
@@ -283,35 +292,6 @@ def _check_f3(ctx):
     return _ok(AxiomId.F3)
 
 
-def _check_f4(ctx):
-    for a in ctx.masks:
-        for c in ctx.eff.masks:
-            if a & ~c == 0 and c not in ctx.mask_set:
-                return _fail(AxiomId.F4, ctx, (a, c))
-    return _ok(AxiomId.F4)
-
-
-def _check_f5(ctx):
-    ms = ctx.masks
-    for i, a1 in enumerate(ms):
-        for j in range(i, len(ms)):
-            meet = a1 & ms[j]
-            if ctx.system.evaluate(meet) <= ctx.k and meet not in ctx.mask_set:
-                return _fail(AxiomId.F5, ctx, (a1, ms[j], meet))
-    return _ok(AxiomId.F5)
-
-
-def _check_f6(ctx):
-    ms = ctx.masks
-    for i, a1 in enumerate(ms):
-        for j in range(i, len(ms)):
-            a12 = a1 & ms[j]
-            for l in range(j, len(ms)):
-                if a12 & ms[l] == 0:
-                    return _fail(AxiomId.F6, ctx, (a1, ms[j], ms[l]))
-    return _ok(AxiomId.F6)
-
-
 def _check_sf5(ctx):
     for a in ctx.masks:
         for e in ctx.eff.elements:
@@ -340,58 +320,69 @@ def _check_consistent(ctx):
     return _ok(AxiomId.CONSISTENT)
 
 
-def _check_p2(ctx):
-    for a2 in ctx.masks:
-        for a1 in ctx.eff.masks:
-            if a1 & ~a2 == 0 and a1 not in ctx.mask_set:
-                return _fail(AxiomId.P2, ctx, (a2, a1))
-    return _ok(AxiomId.P2)
+# ---------------------------------------------------------------------------
+# clauses read a second time through reversal: ``flip`` is 0 for the clause
+# and the full mask for its reversed reading (see the module docstring)
 
 
-def _check_p3a_literal(ctx):
-    for a1 in ctx.masks:
-        for a2 in ctx.masks:
-            meet = a1 & a2
-            if meet in ctx.mask_set:
-                return _fail(AxiomId.P3A_LITERAL, ctx, (a1, a2, meet))
-    return _ok(AxiomId.P3A_LITERAL)
-
-
-def _check_p3a_corrected(ctx):
-    for a1 in ctx.masks:
-        for a2 in ctx.masks:
-            other = ctx.full ^ (a1 | a2)
-            if other in ctx.mask_set:
-                return _fail(AxiomId.P3A_CORRECTED, ctx, (a1, a2, other))
-    return _ok(AxiomId.P3A_CORRECTED)
-
-
-def _check_p3b(ctx):
-    ms = ctx.masks
+def _check_cover(axiom, ctx, flip):
+    # T3: no member triple covers X; F6 reads it through reversal
+    full = ctx.full
+    ms = [m ^ flip for m in ctx.masks]
     for i, a1 in enumerate(ms):
         for j in range(i, len(ms)):
-            join = a1 | ms[j]
+            a12 = a1 | ms[j]
+            for l in range(j, len(ms)):
+                if a12 | ms[l] == full:
+                    return _fail(axiom, ctx, (a1 ^ flip, ms[j] ^ flip, ms[l] ^ flip))
+    return _ok(axiom)
+
+
+def _check_below(axiom, ctx, flip):
+    # P2: k-efficient sets below a member are members; F4 reads it through
+    # reversal, so k-efficient sets above a member are members
+    eff = [c ^ flip for c in ctx.eff.masks]
+    for a in ctx.masks:
+        outside = ~(a ^ flip)
+        for b in eff:
+            if b & outside == 0 and b ^ flip not in ctx.mask_set:
+                return _fail(axiom, ctx, (a, b ^ flip))
+    return _ok(axiom)
+
+
+def _check_join(axiom, ctx, flip):
+    # P3b: the join of two members is a member if its order is <= k; F5 reads
+    # it through reversal, so the meet is
+    ms = [m ^ flip for m in ctx.masks]
+    for i, a1 in enumerate(ms):
+        for j in range(i, len(ms)):
+            join = (a1 | ms[j]) ^ flip
             if ctx.system.evaluate(join) <= ctx.k and join not in ctx.mask_set:
-                return _fail(AxiomId.P3B, ctx, (a1, ms[j], join))
-    return _ok(AxiomId.P3B)
+                return _fail(axiom, ctx, (a1 ^ flip, ms[j] ^ flip, join))
+    return _ok(axiom)
 
 
-def _check_sp3_literal(ctx):
+def _check_meet_ban(axiom, ctx, flip):
+    # P3a: the meet of two members is no member; the corrected reading bans
+    # the meet of their reversals
+    ms = [m ^ flip for m in ctx.masks]
+    for a1 in ms:
+        for a2 in ms:
+            banned = a1 & a2
+            if banned in ctx.mask_set:
+                return _fail(axiom, ctx, (a1 ^ flip, a2 ^ flip, banned))
+    return _ok(axiom)
+
+
+def _check_deletion_ban(axiom, ctx, flip):
+    # SP3: a member less one k-efficient element is no member; the corrected
+    # reading bans the reversal less that element
     for a in ctx.masks:
         for e in ctx.eff.elements:
-            shrunk = a & ~(1 << e)
-            if shrunk in ctx.mask_set:
-                return _fail(AxiomId.SP3_LITERAL, ctx, (a, shrunk), element=e)
-    return _ok(AxiomId.SP3_LITERAL)
-
-
-def _check_sp3_corrected(ctx):
-    for a in ctx.masks:
-        for e in ctx.eff.elements:
-            other = ctx.full ^ (a | (1 << e))
-            if other in ctx.mask_set:
-                return _fail(AxiomId.SP3_CORRECTED, ctx, (a, other), element=e)
-    return _ok(AxiomId.SP3_CORRECTED)
+            banned = (a ^ flip) & ~(1 << e)
+            if banned in ctx.mask_set:
+                return _fail(axiom, ctx, (a, banned), element=e)
+    return _ok(axiom)
 
 
 def _check_fb1(ctx):
@@ -420,23 +411,27 @@ _CHECKS = {
     AxiomId.P1: lambda ctx: _check_orientation(AxiomId.P1, ctx),
     AxiomId.T2: lambda ctx: _check_singletons_in(AxiomId.T2, ctx),
     AxiomId.P4: lambda ctx: _check_singletons_in(AxiomId.P4, ctx),
-    AxiomId.T3: _check_t3,
+    AxiomId.T3: lambda ctx: _check_cover(AxiomId.T3, ctx, 0),
+    AxiomId.F6: lambda ctx: _check_cover(AxiomId.F6, ctx, ctx.full),
+    AxiomId.P2: lambda ctx: _check_below(AxiomId.P2, ctx, 0),
+    AxiomId.F4: lambda ctx: _check_below(AxiomId.F4, ctx, ctx.full),
+    AxiomId.P3B: lambda ctx: _check_join(AxiomId.P3B, ctx, 0),
+    AxiomId.F5: lambda ctx: _check_join(AxiomId.F5, ctx, ctx.full),
+    AxiomId.P3A_LITERAL: lambda ctx: _check_meet_ban(AxiomId.P3A_LITERAL, ctx, 0),
+    AxiomId.P3A_CORRECTED: lambda ctx: _check_meet_ban(
+        AxiomId.P3A_CORRECTED, ctx, ctx.full
+    ),
+    AxiomId.SP3_LITERAL: lambda ctx: _check_deletion_ban(AxiomId.SP3_LITERAL, ctx, 0),
+    AxiomId.SP3_CORRECTED: lambda ctx: _check_deletion_ban(
+        AxiomId.SP3_CORRECTED, ctx, ctx.full
+    ),
     AxiomId.T4: _check_t4,
     AxiomId.LT3: _check_lt3,
     AxiomId.F2: _check_f2,
     AxiomId.F3: _check_f3,
-    AxiomId.F4: _check_f4,
-    AxiomId.F5: _check_f5,
-    AxiomId.F6: _check_f6,
     AxiomId.SF5: _check_sf5,
     AxiomId.WF5: _check_wf5,
     AxiomId.CONSISTENT: _check_consistent,
-    AxiomId.P2: _check_p2,
-    AxiomId.P3A_LITERAL: _check_p3a_literal,
-    AxiomId.P3A_CORRECTED: _check_p3a_corrected,
-    AxiomId.P3B: _check_p3b,
-    AxiomId.SP3_LITERAL: _check_sp3_literal,
-    AxiomId.SP3_CORRECTED: _check_sp3_corrected,
     AxiomId.FB1: _check_fb1,
     AxiomId.FB2: _check_fb2,
 }

@@ -353,8 +353,11 @@ class TestDualityAndTreeDocuments:
 class TestStrictIngest:
     def test_duplicate_keys(self, tmp_path, min3):
         path = write(tmp_path, '{"version": 1, "k": 0, "k": 1, "sides": []}')
-        with pytest.raises(SchemaError, match="duplicate JSON keys"):
+        with pytest.raises(SchemaError, match=r"duplicate JSON keys: \['k'\]$"):
             load_family(path, min3)
+        nested = '{"k": 0, "x": {"b": 1, "a": 2, "b": 3, "a": 4}}'
+        with pytest.raises(SchemaError, match=r"duplicate JSON keys: \['a', 'b'\]$"):
+            load_family(write(tmp_path, nested), min3)
 
     @pytest.mark.parametrize("version", [0, 2, "1", True, None, 1.0])
     def test_version_gate(self, tmp_path, min3, version):

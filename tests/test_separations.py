@@ -142,6 +142,14 @@ class TestEnumeration:
             ]
 
     def test_negative_k_rejected(self, min3):
+        # rejected before the cache is read, so nothing empty is cached and
+        # the ground-set cap does not mask the bad k
+        for system in (min_cardinality_system(3), min_cardinality_system(17)):
+            for build in (efficient_context, efficient_masks, enumerate_k_efficient):
+                for k in (-1, -2):
+                    with pytest.raises(ValueError, match="non-negative"):
+                        build(system, k)
+            assert system._contexts == {}
         with pytest.raises(ValueError):
             enumerate_k_efficient(min3, -1)
 
@@ -184,6 +192,10 @@ class TestFamily:
         assert 5 in fam
         assert make_separation(min3, 5) in fam
         assert 2 not in fam
+        # a separation of another system is no member, even with a shared mask
+        other = min_cardinality_system(3)
+        assert make_separation(other, 5) not in fam
+        assert make_separation(other, 5) not in fam.members
 
     def test_mask_set(self, min3):
         fam = SeparationFamily.from_masks(min3, 1, [4, 1])
