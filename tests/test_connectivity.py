@@ -1,5 +1,8 @@
 """Set-function construction, evaluation, and the four-inequality verifier."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from tanglekit import (
     hyperedge_system,
     min_cardinality_system,
     random_hyperedge_system,
+    standard_corpus,
     system_descriptor,
     verify_axioms,
 )
@@ -200,3 +204,91 @@ class TestVerifier:
         for mask in range(0, full + 1, max(1, full // 64)):
             pop = bin(mask).count("1")
             assert s.evaluate(mask) == min(pop, n - pop)
+
+
+def _report_entry(report):
+    return (
+        report.mode,
+        report.pairs_checked,
+        tuple((c.name, c.passed, c.witness) for c in report.checks),
+    )
+
+
+def pinned_tables():
+    """300 seeded explicit tables, n = 2..7, nearly all failing some axiom.
+
+    A third hold random values, a third random symmetric values (so that
+    submodularity and posimodularity fail with symmetry intact) and a third
+    are hyperedge tables with one entry bumped by one.
+    """
+    rng = random.Random(2024)
+    tables = []
+    for i in range(300):
+        n = 2 + i % 6
+        size = 1 << n
+        if i % 3 == 0:
+            values = [rng.randrange(4) for _ in range(size)]
+        elif i % 3 == 1:
+            values = [0] * size
+            for m in range(size // 2):
+                values[m] = values[m ^ (size - 1)] = rng.randrange(4)
+        else:
+            h = random_hyperedge_system(n, n, min(3, n), seed=rng.randrange(10**6))
+            values = [int(v) for v in h.table()]
+            values[rng.randrange(size)] += 1
+        tables.append(tuple(values))
+    return tables
+
+
+def planted_13_element_tables():
+    """Two 13-element tables past the exhaustive limit, each with a planted
+    violation that only the 65,536-sample fallback can see."""
+    base = list(min_cardinality_system(13).table().tolist())
+    raised_floor = list(base)
+    raised_floor[0] = raised_floor[-1] = 3
+    asymmetric = list(base)
+    asymmetric[5] += 1
+    return [tuple(raised_floor), tuple(asymmetric)]
+
+
+class TestVerificationPin:
+    def test_reports_and_rejections_match_the_pin(self):
+        """Every verifier report and every explicit-table rejection, frozen.
+
+        Covers sampled mode at (128, 0), (2000, 7) and (20000, 3) and
+        exhaustive mode on freshly built corpus systems (the four builtins
+        among them) and on ``pinned_tables``, plus the FunctionAxiomError
+        message and witness of ``explicit_system`` on every pinned table and
+        on the 13-element tables of the sampled fallback.  Any change to a
+        draw, a check or the order in which witnesses are found changes the
+        digest.
+        """
+        configs = (("sampled", 128, 0), ("sampled", 2000, 7), ("sampled", 20000, 3))
+        descriptors = [system_descriptor(s) for s in standard_corpus()]
+        tables = pinned_tables()
+        digest = hashlib.sha256()
+        entries = 0
+        for mode, samples, seed in configs + (("exhaustive", 0, 0),):
+            kw = {"samples": samples, "seed": seed} if mode == "sampled" else {}
+            systems = [build_system(d) for d in descriptors] + [
+                ConnectivitySystem(len(v).bit_length() - 1, "explicit", values=v)
+                for v in tables
+            ]
+            for system in systems:
+                report = verify_axioms(system, mode, **kw)
+                digest.update(repr(_report_entry(report)).encode())
+                entries += 1
+        rejected = 0
+        for values in tables + planted_13_element_tables():
+            try:
+                explicit_system(values)
+                outcome = ("accepted",)
+            except FunctionAxiomError as err:
+                outcome = (str(err), err.witness)
+                rejected += 1
+            digest.update(repr(outcome).encode())
+        assert entries == 4 * (28 + 300)
+        assert rejected == 289
+        assert digest.hexdigest() == (
+            "a6b67fd7e68f3fbdf5f8a52af6311040230865e16189a9e6d920dc69974c713f"
+        )
