@@ -19,6 +19,7 @@ readers.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -32,6 +33,8 @@ EXPLICIT_TABLE_LIMIT = 24
 EXHAUSTIVE_VERIFY_LIMIT = 12
 # cheap seeded spot check applied when structured kinds are built
 BUILD_SPOT_CHECK_PAIRS = 128
+# sampled verification evaluates its pairs this many at a time
+SAMPLE_CHUNK = 4096
 
 # descriptor fields of each kind besides "kind", in document order
 SYSTEM_FIELDS = {
@@ -89,12 +92,15 @@ class ConnectivitySystem:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    def _out_of_range(self, mask: int) -> ValueError:
+        return ValueError(
+            f"mask {mask:#x} has bits outside the ground set of size {self.n}"
+        )
+
     def evaluate(self, mask: int) -> int:
         """Return f(A) for the subset encoded by ``mask``."""
         if mask < 0 or mask > self.full_mask:
-            raise ValueError(
-                f"mask {mask:#x} has bits outside the ground set of size {self.n}"
-            )
+            raise self._out_of_range(mask)
         if self._table is not None:
             return int(self._table[mask])
         if self.kind == "min_cardinality":
@@ -108,24 +114,36 @@ class ConnectivitySystem:
                 total += 1
         return total
 
+    def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
+        """f at every mask of an integer array, as an int64 array of its shape.
+
+        Reads the cached table when there is one and never builds it, so it
+        serves spot checks at any supported n.
+        """
+        masks = np.asarray(masks, dtype=np.int64)
+        bad = (masks < 0) | (masks > self.full_mask)
+        if bad.any():
+            raise self._out_of_range(int(masks[bad][0]))
+        if self._table is not None:
+            return self._table[masks]
+        if self.kind == "min_cardinality":
+            counts = np.zeros(masks.shape, dtype=np.int64)
+            for bit in range(self.n):
+                counts += (masks >> bit) & 1
+            return np.minimum(counts, self.n - counts)
+        # boundary kinds: one pass per crossing unit
+        total = np.zeros(masks.shape, dtype=np.int64)
+        for unit in self._cross_masks:
+            hit = masks & unit
+            total += (hit != 0) & (hit != unit)
+        return total
+
     def table(self) -> np.ndarray:
         """The full value table, built lazily and cached.  Needs n <= 24."""
         if self._table is None:
             if self.n > EXPLICIT_TABLE_LIMIT:
                 raise GroundSetLimitError("value table", self.n, EXPLICIT_TABLE_LIMIT)
-            size = 1 << self.n
-            masks = np.arange(size, dtype=np.int64)
-            if self.kind == "min_cardinality":
-                counts = np.zeros(size, dtype=np.int64)
-                for bit in range(self.n):
-                    counts += (masks >> bit) & 1
-                t = np.minimum(counts, self.n - counts)
-            else:
-                t = np.zeros(size, dtype=np.int64)
-                for unit in self._cross_masks:
-                    hit = masks & unit
-                    t += ((hit != 0) & (hit != unit)).astype(np.int64)
-            self._table = t
+            self._table = self.evaluate_many(np.arange(1 << self.n, dtype=np.int64))
         return self._table
 
     def max_order(self) -> int:
@@ -217,25 +235,54 @@ def _verify_exhaustive(system: ConnectivitySystem) -> VerificationReport:
     return report
 
 
-def _verify_sampled(system: ConnectivitySystem, samples: int, seed: int) -> VerificationReport:
+def _draw_chunks(n: int, samples: int, seed: int):
+    """The seeded pairs (a, b) of sampled verification, in chunks.
+
+    Each chunk stacks the rows a, b, a^full, a&b, a|b, a&~b and b&~a, one
+    column per pair, so one ``evaluate_many`` call serves every check.
+    """
     rng = random.Random(seed)
-    size = 1 << system.n
-    f = system.evaluate
-    f_empty = f(0)
+    size = 1 << n
     full = size - 1
+    for start in range(0, samples, SAMPLE_CHUNK):
+        count = min(SAMPLE_CHUNK, samples - start)
+        a, b = np.array(
+            [rng.randrange(size) for _ in range(2 * count)], dtype=np.int64
+        ).reshape(count, 2).T
+        chunk = np.stack([a, b, a ^ full, a & b, a | b, a & ~b, b & ~a])
+        chunk.flags.writeable = False
+        yield chunk
+
+
+@functools.lru_cache(maxsize=32)
+def _one_chunk_draw(n: int, samples: int, seed: int) -> tuple[np.ndarray, ...]:
+    # the build spot check draws the same few pairs for every system of size n
+    return tuple(_draw_chunks(n, samples, seed))
+
+
+def _verify_sampled(system: ConnectivitySystem, samples: int, seed: int) -> VerificationReport:
+    if samples <= SAMPLE_CHUNK:
+        chunks = _one_chunk_draw(system.n, samples, seed)
+    else:
+        chunks = _draw_chunks(system.n, samples, seed)
     witnesses: dict[str, tuple[int, ...] | None] = {n: None for n in CHECK_NAMES}
-    for _ in range(samples):
-        a = rng.randrange(size)
-        b = rng.randrange(size)
-        fa, fb = f(a), f(b)
-        if witnesses[CHECK_SYMMETRY] is None and fa != f(a ^ full):
-            witnesses[CHECK_SYMMETRY] = (a,)
-        if witnesses[CHECK_EMPTY_SET_MINIMUM] is None and fa < f_empty:
-            witnesses[CHECK_EMPTY_SET_MINIMUM] = (a,)
-        if witnesses[CHECK_SUBMODULARITY] is None and fa + fb < f(a & b) + f(a | b):
-            witnesses[CHECK_SUBMODULARITY] = (a, b)
-        if witnesses[CHECK_POSIMODULARITY] is None and fa + fb < f(a & ~b) + f(b & ~a):
-            witnesses[CHECK_POSIMODULARITY] = (a, b)
+    for chunk in chunks:
+        # one call per chunk: the appended last mask is the empty set
+        values = system.evaluate_many(np.append(chunk, 0))
+        f_empty = values[-1]
+        fa, fb, f_comp, f_meet, f_join, f_ab, f_ba = values[:-1].reshape(chunk.shape)
+        for name, bad, width in (
+            (CHECK_SYMMETRY, fa != f_comp, 1),
+            (CHECK_EMPTY_SET_MINIMUM, fa < f_empty, 1),
+            (CHECK_SUBMODULARITY, fa + fb < f_meet + f_join, 2),
+            (CHECK_POSIMODULARITY, fa + fb < f_ab + f_ba, 2),
+        ):
+            if witnesses[name] is None and bad.any():
+                # the first failing pair; width 1 keeps only a, width 2 (a, b)
+                column = chunk[:width, int(np.argmax(bad))]
+                witnesses[name] = tuple(int(m) for m in column)
+        if all(w is not None for w in witnesses.values()):
+            break
     checks = tuple(
         VerificationCheck(name, witnesses[name] is None, witnesses[name] or ())
         for name in CHECK_NAMES
@@ -254,7 +301,8 @@ def verify_axioms(
 
     ``exhaustive`` walks every subset pair and is limited to n <= 12; it sets
     the system's ``verified`` flag on a full pass.  ``sampled`` draws
-    ``samples`` seeded random pairs and works at any supported size.
+    ``samples`` >= 1 seeded random pairs and works at any supported size;
+    the witness of each check is its first failing pair in draw order.
     Failures are report content with witness masks, never exceptions.
     """
     if mode == "exhaustive":
@@ -264,6 +312,9 @@ def verify_axioms(
             )
         return _verify_exhaustive(system)
     if mode == "sampled":
+        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+            # a run that draws no pair would report a pass having examined nothing
+            raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
         return _verify_sampled(system, samples, seed)
     raise ValueError(f"unknown verification mode {mode!r}")
 

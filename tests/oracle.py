@@ -7,6 +7,7 @@ imports the package under test.  Unit tests compare tanglekit against these
 on instances small enough for the 2^(number of unordered separations) sweep.
 """
 
+import random
 from itertools import combinations, product
 
 
@@ -48,6 +49,38 @@ def graph_cut_fn(vertex_count, edges):
     """Ground set = vertices 0..vertex_count-1; f(A) = crossing edge count."""
     units = [frozenset(e) for e in edges]
     return split_count_fn(units)
+
+
+def verify_sampled_reference(f, n, samples, seed):
+    """Sampled verification, one seeded pair at a time.
+
+    `f` takes a subset mask.  Returns ("sampled", samples, checks) with one
+    (name, passed, witness) per check, the witness being the first failing
+    draw: (a,) for symmetry and the empty-set floor, (a, b) for the pair
+    inequalities.
+    """
+    names = ("symmetry", "submodularity", "empty_set_minimum", "posimodularity")
+    rng = random.Random(seed)
+    size = 1 << n
+    f_empty = f(0)
+    full = size - 1
+    witnesses = {name: None for name in names}
+    for _ in range(samples):
+        a = rng.randrange(size)
+        b = rng.randrange(size)
+        fa, fb = f(a), f(b)
+        if witnesses["symmetry"] is None and fa != f(a ^ full):
+            witnesses["symmetry"] = (a,)
+        if witnesses["empty_set_minimum"] is None and fa < f_empty:
+            witnesses["empty_set_minimum"] = (a,)
+        if witnesses["submodularity"] is None and fa + fb < f(a & b) + f(a | b):
+            witnesses["submodularity"] = (a, b)
+        if witnesses["posimodularity"] is None and fa + fb < f(a & ~b) + f(b & ~a):
+            witnesses["posimodularity"] = (a, b)
+    checks = tuple(
+        (name, witnesses[name] is None, witnesses[name] or ()) for name in names
+    )
+    return ("sampled", samples, checks)
 
 
 # ---------------------------------------------------------------------------

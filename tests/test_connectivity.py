@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,8 @@ from tanglekit.connectivity import (
     CHECK_POSIMODULARITY,
     CHECK_SUBMODULARITY,
     CHECK_SYMMETRY,
+    SAMPLE_CHUNK,
+    SYSTEM_KINDS,
 )
 
 import oracle
@@ -204,6 +207,124 @@ class TestVerifier:
         for mask in range(0, full + 1, max(1, full // 64)):
             pop = bin(mask).count("1")
             assert s.evaluate(mask) == min(pop, n - pop)
+
+
+def _fresh_systems():
+    """One small system of each kind, plus a one-element system of each kind."""
+    return [
+        explicit_system(MIN3_TABLE),
+        explicit_system((1, 1)),
+        graph_cut_system("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")]),
+        graph_cut_system(["a"], []),
+        graph_boundary_system("wxyz", [("w", "x"), ("x", "y"), ("y", "z"), ("z", "w"), ("w", "y")]),
+        graph_boundary_system(["a", "b"], [("a", "b")]),
+        random_hyperedge_system(7, 7, 3, seed=5),
+        hyperedge_system(1, [(0,)]),
+        min_cardinality_system(9),
+        min_cardinality_system(1),
+    ]
+
+
+class TestEvaluateMany:
+    def test_every_kind_matches_evaluate_and_table(self):
+        systems = _fresh_systems()
+        assert {s.kind for s in systems} == set(SYSTEM_KINDS)
+        assert {s.n for s in systems if s.n == 1} == {1}
+        for s in systems:
+            many = s.evaluate_many(np.arange(1 << s.n))  # before any table exists
+            assert many.dtype == np.int64
+            assert many.tolist() == [s.evaluate(m) for m in range(1 << s.n)], s
+            table = s.table()
+            assert table.dtype == np.int64
+            assert table.tolist() == many.tolist(), s
+            assert s.evaluate_many(np.arange(1 << s.n)).tolist() == many.tolist()
+
+    def test_keeps_the_shape_of_its_input(self, k4):
+        masks = np.array([[0, 1, 2], [61, 62, 63]])
+        assert k4.evaluate_many(masks).tolist() == [
+            [k4.evaluate(int(m)) for m in row] for row in masks
+        ]
+
+    def test_out_of_range_masks_raise(self):
+        for s in _fresh_systems():
+            for cached in (False, True):
+                if cached:
+                    s.table()
+                for bad in ([-1], [0, s.full_mask + 1], [s.full_mask, -5, 1 << 40]):
+                    with pytest.raises(ValueError, match="outside the ground set"):
+                        s.evaluate_many(np.array(bad))
+
+
+class TestSampledVerifier:
+    @pytest.mark.parametrize("samples", [0, -3, True, 2.5, "10"])
+    def test_runs_that_examine_nothing_are_rejected(self, min3, samples):
+        with pytest.raises(ValueError, match="samples"):
+            verify_axioms(min3, "sampled", samples=samples)
+
+    @given(
+        n=st.integers(min_value=1, max_value=9),
+        values=st.lists(st.integers(min_value=0, max_value=3), min_size=512, max_size=512),
+        symmetric=st.booleans(),
+        samples=st.sampled_from([1, 37, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 5]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_explicit_tables_match_the_reference(self, n, values, symmetric, samples, seed):
+        full = (1 << n) - 1
+        values = values[: full + 1]
+        if symmetric:
+            values = [max(v, values[m ^ full]) for m, v in enumerate(values)]
+        raw = ConnectivitySystem(n, "explicit", values=tuple(values))
+        report = verify_axioms(raw, "sampled", samples=samples, seed=seed)
+        expected = oracle.verify_sampled_reference(values.__getitem__, n, samples, seed)
+        assert _report_entry(report) == expected
+
+    @given(
+        n=st.integers(min_value=2, max_value=12),
+        count=st.integers(min_value=0, max_value=8),
+        system_seed=st.integers(min_value=0, max_value=10_000),
+        samples=st.sampled_from([128, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 5]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_hyperedge_systems_match_the_reference(self, n, count, system_seed, samples, seed):
+        s = random_hyperedge_system(n, count, min(3, n), system_seed)
+        f = oracle.split_count_fn([frozenset(h) for h in s.hyperedges])
+        expected = oracle.verify_sampled_reference(
+            lambda m: f(frozenset(e for e in range(n) if m >> e & 1)), n, samples, seed
+        )
+        assert _report_entry(verify_axioms(s, "sampled", samples=samples, seed=seed)) == expected
+
+    def test_witness_drawn_past_the_first_chunk(self):
+        # 13 elements, one asymmetric entry: seed 4 first draws it or its
+        # complement as pair 6147, in the second chunk
+        values = min_cardinality_system(13).table().tolist()
+        values[5] += 1
+        raw = ConnectivitySystem(13, "explicit", values=tuple(values))
+        samples = 3 * SAMPLE_CHUNK
+        report = verify_axioms(raw, "sampled", samples=samples, seed=4)
+        assert _report_entry(report) == oracle.verify_sampled_reference(
+            values.__getitem__, 13, samples, 4
+        )
+        rng = random.Random(4)
+        draws = [rng.randrange(1 << 13) for _ in range(2 * samples)][::2]
+        (witness,) = report.check(CHECK_SYMMETRY).witness
+        assert draws.index(witness) == 6147
+
+    def test_builds_make_no_scalar_evaluate_call(self, monkeypatch, k4):
+        calls = []
+        evaluate = ConnectivitySystem.evaluate
+
+        def counted(system, mask):
+            calls.append(mask)
+            return evaluate(system, mask)
+
+        monkeypatch.setattr(ConnectivitySystem, "evaluate", counted)
+        hyper = standard_corpus()[-1]
+        assert hyper.kind == "hyperedge_boundary"
+        for s in (hyper, k4):
+            build_system(system_descriptor(s))
+        assert calls == []
 
 
 def _report_entry(report):
