@@ -342,3 +342,101 @@ def filter_base_closure(f, n, k, base):
         (a for a in efficient_sides(f, n, k) if any(b <= a for b in base)),
         key=lambda a: sorted(a),
     )
+
+
+# ---------------------------------------------------------------------------
+# scan-order references: the per-member and per-pair scans that decided P0,
+# T1/F1/P1, P2/F4 and WF5 before the bitset kernel, kept verbatim.  Each
+# returns (axiom, passed, witness first sides, element), so a test can
+# compare first witnesses as well as verdicts.
+
+
+class AxiomId:
+    """The axiom names the scans below refer to, as plain strings."""
+
+    P0, WF5 = "P0", "WF5"
+
+
+class _System:
+    def __init__(self, f, n):
+        self.evaluate = f
+        self.full_mask = (1 << n) - 1
+
+
+class _Efficient:
+    def __init__(self, f, n, k):
+        self.masks = tuple(m for m in range(1 << n) if f(m) <= k)
+
+
+class ScanCtx:
+    """What the scans read: members ascending, their set, f, k and X."""
+
+    def __init__(self, f, n, k, masks):
+        self.system = _System(f, n)
+        self.k = k
+        self.masks = tuple(sorted(masks))
+        self.mask_set = frozenset(self.masks)
+        self.full = (1 << n) - 1
+        self.eff = _Efficient(f, n, k)
+
+
+def _ok(axiom):
+    return (axiom, True, (), None)
+
+
+def _fail(axiom, ctx, masks, element=None):
+    return (axiom, False, tuple(masks), element)
+
+
+def _check_p0(ctx):
+    for m in ctx.masks:
+        if ctx.system.evaluate(m) > ctx.k:
+            return _fail(AxiomId.P0, ctx, (m,))
+    return _ok(AxiomId.P0)
+
+
+def _check_orientation(axiom, ctx):
+    # T1 / F1 / P1: every separation of order <= k has an oriented member
+    for m in ctx.eff.masks:
+        comp = ctx.full ^ m
+        if m > comp:
+            continue
+        if m not in ctx.mask_set and comp not in ctx.mask_set:
+            return _fail(axiom, ctx, (m,))
+    return _ok(axiom)
+
+
+def _check_below(axiom, ctx, flip):
+    # P2: k-efficient sets below a member are members; F4 reads it through
+    # reversal, so k-efficient sets above a member are members
+    eff = [c ^ flip for c in ctx.eff.masks]
+    for a in ctx.masks:
+        outside = ~(a ^ flip)
+        for b in eff:
+            if b & outside == 0 and b ^ flip not in ctx.mask_set:
+                return _fail(axiom, ctx, (a, b ^ flip))
+    return _ok(axiom)
+
+
+def _check_wf5(ctx):
+    ms = ctx.masks
+    for i, a1 in enumerate(ms):
+        for j in range(i, len(ms)):
+            meet = a1 & ms[j]
+            if meet == 0 and ctx.system.evaluate(0) <= ctx.k:
+                return _fail(AxiomId.WF5, ctx, (a1, ms[j]))
+    return _ok(AxiomId.WF5)
+
+
+def scan_reference(axiom, f, n, k, masks):
+    """The scan's result for one axiom name; ``f`` maps a mask to its order."""
+    ctx = ScanCtx(f, n, k, masks)
+    if axiom == "P0":
+        return _check_p0(ctx)
+    if axiom in ("T1", "F1", "P1"):
+        return _check_orientation(axiom, ctx)
+    if axiom in ("P2", "F4"):
+        return _check_below(axiom, ctx, 0 if axiom == "P2" else ctx.full)
+    if axiom == "WF5":
+        return _check_wf5(ctx)
+    raise ValueError(f"no scan reference for {axiom}")

@@ -585,3 +585,69 @@ class TestRandomStructureProperties:
         if check_structure(system, k, fam, "ultrafilter").passed:
             assert check_axiom(system, k, fam, A.F6).passed
             assert check_structure(system, k, fam, "weak_ultrafilter").passed
+
+
+# the axioms the bitset kernel decides, and the kinds whose reports carry them
+KERNEL_AXIOMS = (A.P0, A.T1, A.F1, A.P1, A.P2, A.F4, A.WF5)
+KERNEL_KINDS = {
+    StructureKind.TANGLE: (A.P0, A.T1),
+    StructureKind.WEAK_ULTRAFILTER: (A.P0, A.F1, A.F4, A.WF5),
+    StructureKind.PROFILE: (A.P0, A.P1, A.P2),
+}
+
+
+def _entry(res):
+    return (res.axiom.value, res.passed, tuple(w.first for w in res.witness), res.element)
+
+
+def random_family_masks(system, k, rng):
+    """Members drawn three ways, so that every axiom both passes and fails.
+
+    Either any masks at all (orders above k included), or one random side of
+    every k-efficient separation, or the k-efficient sets above a few random
+    seeds; the last two are then perturbed by a few random masks.
+    """
+    full = system.full_mask
+    eff = efficient_masks(system, k)
+    mode = rng.randrange(3)
+    if mode == 0:
+        density = rng.random()
+        return [m for m in range(full + 1) if rng.random() < density]
+    if mode == 1:
+        masks = {rng.choice((m, full ^ m)) for m in eff}
+    else:
+        seeds = rng.sample(eff, min(len(eff), rng.randint(1, 3)))
+        masks = {c for c in eff if any(s & ~c == 0 for s in seeds)}
+    for _ in range(rng.randrange(3)):
+        masks ^= {rng.randrange(full + 1)}
+    return sorted(masks)
+
+
+class TestKernelMatchesScans:
+    @given(
+        n=st.integers(1, 7),
+        hyper=st.booleans(),
+        seed=st.integers(0, 10_000),
+        k_offset=st.integers(-1, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_witnesses_and_elements(self, n, hyper, seed, k_offset):
+        """The kernel agrees with the scans of ``oracle.scan_reference``."""
+        if hyper and n > 1:
+            system = random_hyperedge_system(n, n, min(3, n), seed)
+        else:
+            system = min_cardinality_system(n)
+        rng = random.Random(seed)
+        k = max(0, rng.randint(0, system.max_order()) + k_offset)
+        masks = random_family_masks(system, k, rng)
+        fam = family(system, k, masks)
+        want = {
+            ax: oracle.scan_reference(ax.value, system.evaluate, n, k, masks)
+            for ax in KERNEL_AXIOMS
+        }
+        for ax in KERNEL_AXIOMS:
+            assert _entry(check_axiom(system, k, fam, ax)) == want[ax], ax
+        for kind, axioms in KERNEL_KINDS.items():
+            report = check_structure(system, k, fam, kind)
+            for ax in axioms:
+                assert _entry(report.result(ax)) == want[ax], (kind, ax)
