@@ -31,8 +31,8 @@ from .structures import (
     ORIENTATION_KINDS,
     AxiomId,
     StructureKind,
+    StructureReport,
     axiom_ids,
-    check_axiom,
     check_structure,
 )
 
@@ -61,10 +61,13 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The families found, and in the same order the re-check report of each."""
+
     families: tuple[SeparationFamily, ...]
     complete: bool
     nodes: int
     status: str
+    reports: tuple[StructureReport, ...]
 
     def __len__(self):
         return len(self.families)
@@ -222,7 +225,7 @@ class _Searcher:
         self.assignment: dict[int, int] = {}
         self.chosen: set[int] = set()
         self.nodes = 0
-        self.found: list[SeparationFamily] = []
+        self.found: list[tuple[SeparationFamily, StructureReport]] = []
         self.deadline = (
             time.monotonic() + budget.max_seconds
             if budget.max_seconds is not None
@@ -277,7 +280,7 @@ class _Searcher:
             self.system, self.k, family, self.kind, self.variant
         )
         if report.passed:
-            self.found.append(family)
+            self.found.append((family, report))
             if self.limit is not None and len(self.found) >= self.limit:
                 raise _Cut
 
@@ -316,9 +319,10 @@ class _Searcher:
                 self._walk(0)
         except _Cut:
             complete = self.limit is not None and len(self.found) >= self.limit
-        families = tuple(sorted(self.found, key=lambda f: f.member_masks))
+        found = sorted(self.found, key=lambda pair: pair[0].member_masks)
+        families, reports = zip(*found) if found else ((), ())
         status = STATUS_COMPLETE if complete else STATUS_BUDGET
-        return SearchResult(families, complete, self.nodes, status)
+        return SearchResult(families, complete, self.nodes, status, reports)
 
 
 def enumerate_all(
@@ -490,8 +494,9 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
                 break
             structures_examined += len(wufs)
             if problem == 9:
-                for fam in wufs:
-                    f6 = check_axiom(system, k, fam, AxiomId.F6)
+                # the leaf re-check already decided F6, its diagnostic entry
+                for fam, report in zip(wufs.families, wufs.reports):
+                    f6 = report.result(AxiomId.F6)
                     if not f6.passed:
                         counterexamples.append(Counterexample(
                             system, k, "weak_ultrafilter_triple_intersection",

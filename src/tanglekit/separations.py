@@ -77,12 +77,14 @@ class EfficientContext:
     """What the axiom checkers and the pruning rules read about one (system, k).
 
     ``masks`` holds the first sides of all separations of order <= k,
-    ascending, ``mask_set`` the same masks as a set, and ``elements`` the
-    k-efficient elements e (those with f({e}) <= k), ascending.
+    ascending, ``mask_set`` the same masks as a set, ``bits`` the same masks
+    as one int over 2**n bits (bit m set iff f(m) <= k), and ``elements``
+    the k-efficient elements e (those with f({e}) <= k), ascending.
     """
 
     masks: tuple[int, ...]
     mask_set: frozenset[int]
+    bits: int
     elements: tuple[int, ...]
 
 
@@ -98,10 +100,13 @@ def efficient_context(system: ConnectivitySystem, k: int) -> EfficientContext:
     if context is None:
         if system.n > ENUMERATION_LIMIT:
             raise GroundSetLimitError("separation enumeration", system.n, ENUMERATION_LIMIT)
-        table = system.table()
-        masks = tuple(int(m) for m in np.nonzero(table <= k)[0])
-        elements = tuple(e for e in range(system.n) if table[1 << e] <= k)
-        context = EfficientContext(masks, frozenset(masks), elements)
+        efficient = system.table() <= k
+        masks = tuple(np.flatnonzero(efficient).tolist())
+        packed = np.packbits(efficient, bitorder="little").tobytes()
+        elements = np.flatnonzero(efficient[1 << np.arange(system.n)]).tolist()
+        context = EfficientContext(
+            masks, frozenset(masks), int.from_bytes(packed, "little"), tuple(elements)
+        )
         system._contexts[k] = context
     return context
 
@@ -139,11 +144,12 @@ class SeparationFamily:
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate members in separation family")
         masks.sort()
-        for m in masks:
-            if m < 0 or m > system.full_mask:
-                raise ValueError(
-                    f"mask {m:#x} has bits outside the ground set of size {system.n}"
-                )
+        full = system.full_mask
+        if masks and (masks[0] < 0 or masks[-1] > full):
+            m = next(m for m in masks if m < 0 or m > full)
+            raise ValueError(
+                f"mask {m:#x} has bits outside the ground set of size {system.n}"
+            )
         return cls(system, k, tuple(masks))
 
     @property

@@ -29,7 +29,7 @@ exists).  Both readings are kept; ``corrected`` is the default.
 Reversing every member, (A, B) -> (B, A), turns small sides into big ones,
 so five clauses are written once and read a second time through reversal
 (the checker XORs ``flip``, 0 or the full mask, into the masks it scans and
-back out of the witness):
+back out of the witness, or swaps up- and down-closure):
 
 =============  ==========================  ===============================
 clause         read through reversal       shared scan
@@ -41,6 +41,19 @@ P3a_literal    P3a_corrected               meets of members are no members
 SP3_literal    SP3_corrected               a member less e is no member
 =============  ==========================  ===============================
 
+P0, T1/F1/P1, P2/F4 and WF5 are decided on bitsets over the subset
+lattice: bit m of an int stands for mask m.  The family is M, bit m set iff
+m is a member, and the context's ``bits`` holds the masks of order <= k.
+Closure takes one shift-and-OR step per element e: the masks without e,
+shifted up by 2**e, land on the same masks with e added (up), and back
+(down).  Reversal, m -> X ^ m, swaps those two halves for every e.  Then P0
+fails on M & ~bits, T1 on bits & ~(M | rev M) among the masks without the
+top element (m < X ^ m), P2 on down(M) & bits & ~M, F4 on up(M) & bits & ~M,
+and WF5 on M & down(rev M).  An ascending scan stops at the least failing
+mask, which is the lowest set bit of the failing set, so the witnesses are
+those of the scans; a pair's second mask is the lowest bit of the failing
+set among the masks below (P2) or above (F4) its first.
+
 Tangle-side reports carry a T4 entry and ultrafilter-side reports an F6
 entry.  These are informational: both properties are consequences of the
 axioms rather than axioms themselves, so they never affect the overall pass.
@@ -50,11 +63,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 from .connectivity import ConnectivitySystem
 from .exceptions import FilterBaseError
 from .separations import (
+    ENUMERATION_LIMIT,
     EfficientContext,
     Separation,
     SeparationFamily,
@@ -202,6 +216,48 @@ class StructureReport:
         return tuple(r for r in self.results if not r.passed)
 
 
+# ---------------------------------------------------------------------------
+# bitsets over the subset lattice: bit m stands for mask m (module docstring)
+
+
+@lru_cache(maxsize=4)  # 48 MB at n = 24, so only a few sizes are kept
+def _containing(n: int) -> list[tuple[int, int]]:
+    """Per element e, (2**e, the bitset of the masks that contain e)."""
+    out = []
+    for e in range(n):
+        block = ((1 << (1 << e)) - 1) << (1 << e)
+        for d in range(e + 1, n):
+            block |= block << (1 << d)
+        out.append((1 << e, block))
+    return out
+
+
+def _up(bits: int, n: int) -> int:
+    """Every mask above a mask of ``bits``: m without e lifts to m | e."""
+    for step, block in _containing(n):
+        bits |= (bits & ~block) << step
+    return bits
+
+
+def _down(bits: int, n: int) -> int:
+    """Every mask below a mask of ``bits``: m with e drops to m less e."""
+    for step, block in _containing(n):
+        bits |= (bits & block) >> step
+    return bits
+
+
+def _reverse(bits: int, n: int) -> int:
+    """Bit m moves to bit X ^ m, one element's halves swapped at a time."""
+    for step, block in _containing(n):
+        bits = (bits & block) >> step | (bits & ~block) << step
+    return bits
+
+
+def _lowest(bits: int) -> int:
+    """The least mask of a non-empty bitset: the first hit of an ascending scan."""
+    return (bits & -bits).bit_length() - 1
+
+
 class _Ctx:
     """Shared per-check state: member masks plus the system's context at k."""
 
@@ -210,7 +266,17 @@ class _Ctx:
         self.k = k
         self.masks = family.member_masks
         self.mask_set = family.mask_set()
+        self.n = system.n
         self.full = system.full_mask
+
+    @cached_property
+    def bits(self) -> int:
+        # bit m set iff mask m is a member; members are distinct, so + is |
+        return sum(map((1).__lshift__, self.masks))
+
+    @cached_property
+    def reversed_bits(self) -> int:
+        return _reverse(self.bits, self.n)
 
     @cached_property
     def eff(self) -> EfficientContext:
@@ -221,6 +287,7 @@ class _Ctx:
         return make_separation(self.system, mask)
 
 
+@cache  # results are frozen, so one passing result per axiom is shared
 def _ok(axiom):
     return AxiomResult(axiom, True)
 
@@ -235,27 +302,30 @@ def _fail(axiom, ctx, masks, element=None):
 
 
 def _check_p0(ctx):
-    for m in ctx.masks:
-        if ctx.system.evaluate(m) > ctx.k:
-            return _fail(AxiomId.P0, ctx, (m,))
-    return _ok(AxiomId.P0)
+    # beyond the enumeration cap there is no table, so f is read per member
+    if ctx.n <= ENUMERATION_LIMIT:
+        high = ctx.bits & ~ctx.eff.bits
+        first = _lowest(high) if high else None
+    else:
+        first = next((m for m in ctx.masks if ctx.system.evaluate(m) > ctx.k), None)
+    return _ok(AxiomId.P0) if first is None else _fail(AxiomId.P0, ctx, (first,))
 
 
 def _check_orientation(axiom, ctx):
-    # T1 / F1 / P1: every separation of order <= k has an oriented member
-    for m in ctx.eff.masks:
-        comp = ctx.full ^ m
-        if m > comp:
-            continue
-        if m not in ctx.mask_set and comp not in ctx.mask_set:
-            return _fail(axiom, ctx, (m,))
+    # T1 / F1 / P1: every separation of order <= k has an oriented member.
+    # m ranges over the masks without the top element, those with m < X ^ m;
+    # f is read at m alone, as f need not be symmetric
+    lower = (1 << (1 << ctx.n - 1)) - 1
+    unoriented = ctx.eff.bits & lower & ~(ctx.bits | ctx.reversed_bits)
+    if unoriented:
+        return _fail(axiom, ctx, (_lowest(unoriented),))
     return _ok(axiom)
 
 
-def _check_singletons_in(axiom, ctx):
-    # T2 / P4: ({e}, X minus {e}) must be a member for each k-efficient e
+def _check_singletons(axiom, ctx, inside):
+    # T2 / P4: ({e}, X minus {e}) is a member for each k-efficient e; F3: none is
     for e in ctx.eff.elements:
-        if (1 << e) not in ctx.mask_set:
+        if ((1 << e) in ctx.mask_set) is not inside:
             return _fail(axiom, ctx, (1 << e,), element=e)
     return _ok(axiom)
 
@@ -285,13 +355,6 @@ def _check_f2(ctx):
     return _ok(AxiomId.F2)
 
 
-def _check_f3(ctx):
-    for e in ctx.eff.elements:
-        if (1 << e) in ctx.mask_set:
-            return _fail(AxiomId.F3, ctx, (1 << e,), element=e)
-    return _ok(AxiomId.F3)
-
-
 def _check_sf5(ctx):
     for a in ctx.masks:
         for e in ctx.eff.elements:
@@ -302,13 +365,16 @@ def _check_sf5(ctx):
 
 
 def _check_wf5(ctx):
-    ms = ctx.masks
-    for i, a1 in enumerate(ms):
-        for j in range(i, len(ms)):
-            meet = a1 & ms[j]
-            if meet == 0 and ctx.system.evaluate(0) <= ctx.k:
-                return _fail(AxiomId.WF5, ctx, (a1, ms[j]))
-    return _ok(AxiomId.WF5)
+    # if (emptyset, X) has order <= k, no two members (or one, twice) are
+    # disjoint: a misses b iff a lies below X ^ b
+    if ctx.system.evaluate(0) > ctx.k:
+        return _ok(AxiomId.WF5)
+    apart = ctx.bits & _down(ctx.reversed_bits, ctx.n)
+    if not apart:
+        return _ok(AxiomId.WF5)
+    a = _lowest(apart)  # every member a misses is in ``apart`` too, so above a
+    b = _lowest(ctx.bits & _down(1 << (ctx.full ^ a), ctx.n))
+    return _fail(AxiomId.WF5, ctx, (a, b))
 
 
 def _check_consistent(ctx):
@@ -341,13 +407,12 @@ def _check_cover(axiom, ctx, flip):
 def _check_below(axiom, ctx, flip):
     # P2: k-efficient sets below a member are members; F4 reads it through
     # reversal, so k-efficient sets above a member are members
-    eff = [c ^ flip for c in ctx.eff.masks]
-    for a in ctx.masks:
-        outside = ~(a ^ flip)
-        for b in eff:
-            if b & outside == 0 and b ^ flip not in ctx.mask_set:
-                return _fail(axiom, ctx, (a, b ^ flip))
-    return _ok(axiom)
+    below, above = (_up, _down) if flip else (_down, _up)
+    missing = below(ctx.bits, ctx.n) & ctx.eff.bits & ~ctx.bits
+    if not missing:
+        return _ok(axiom)
+    a = _lowest(ctx.bits & above(missing, ctx.n))
+    return _fail(axiom, ctx, (a, _lowest(missing & below(1 << a, ctx.n))))
 
 
 def _check_join(axiom, ctx, flip):
@@ -409,8 +474,9 @@ _CHECKS = {
     AxiomId.T1: lambda ctx: _check_orientation(AxiomId.T1, ctx),
     AxiomId.F1: lambda ctx: _check_orientation(AxiomId.F1, ctx),
     AxiomId.P1: lambda ctx: _check_orientation(AxiomId.P1, ctx),
-    AxiomId.T2: lambda ctx: _check_singletons_in(AxiomId.T2, ctx),
-    AxiomId.P4: lambda ctx: _check_singletons_in(AxiomId.P4, ctx),
+    AxiomId.T2: lambda ctx: _check_singletons(AxiomId.T2, ctx, True),
+    AxiomId.P4: lambda ctx: _check_singletons(AxiomId.P4, ctx, True),
+    AxiomId.F3: lambda ctx: _check_singletons(AxiomId.F3, ctx, False),
     AxiomId.T3: lambda ctx: _check_cover(AxiomId.T3, ctx, 0),
     AxiomId.F6: lambda ctx: _check_cover(AxiomId.F6, ctx, ctx.full),
     AxiomId.P2: lambda ctx: _check_below(AxiomId.P2, ctx, 0),
@@ -428,7 +494,6 @@ _CHECKS = {
     AxiomId.T4: _check_t4,
     AxiomId.LT3: _check_lt3,
     AxiomId.F2: _check_f2,
-    AxiomId.F3: _check_f3,
     AxiomId.SF5: _check_sf5,
     AxiomId.WF5: _check_wf5,
     AxiomId.CONSISTENT: _check_consistent,
@@ -497,10 +562,6 @@ def check_filter_base_generates(
             raise FilterBaseError(
                 f"family is not a filter base: {axiom.value} fails", result
             )
-    base_masks = base.member_masks
-    closure = [
-        c
-        for c in efficient_context(system, k).masks
-        if any(b & ~c == 0 for b in base_masks)
-    ]
+    above = _up(_Ctx(system, k, base).bits, system.n)
+    closure = [c for c in efficient_context(system, k).masks if above >> c & 1]
     return SeparationFamily.from_masks(system, k, closure)

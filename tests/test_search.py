@@ -165,6 +165,17 @@ class TestEnumerateAll:
                 for fam in enumerate_all(kind, system, k):
                     assert check_structure(system, k, fam, kind).passed
 
+    def test_reports_belong_to_their_families(self, c4, k4):
+        seen = 0
+        for system, k in [(c4, 2), (c4, 4), (k4, 2)]:
+            for kind in ("tangle", "weak_ultrafilter", "profile"):
+                result = enumerate_all(kind, system, k)
+                assert len(result.reports) == len(result.families)
+                for fam, report in zip(result.families, result.reports):
+                    assert report == check_structure(system, k, fam, kind)
+                    seen += 1
+        assert seen > 10
+
     def test_emitted_families_orient_each_separation_once(self, c4):
         from tanglekit import efficient_masks
 
@@ -291,6 +302,23 @@ class TestHunt:
         assert not report.result(AxiomId.F6).passed
         # and the family genuinely is a weak ultrafilter, not checker noise
         assert check_structure(ce.system, ce.k, ce.family, "weak_ultrafilter").passed
+
+    def test_problem_nine_decides_f6_once_per_weak_ultrafilter(self, monkeypatch):
+        # the hunt reads F6 off the leaf re-check's report instead of
+        # deciding it a second time
+        from tanglekit import structures
+
+        calls = []
+        check_cover = structures._check_cover
+
+        def counted(axiom, ctx, flip):
+            calls.append(axiom)
+            return check_cover(axiom, ctx, flip)
+
+        monkeypatch.setattr(structures, "_check_cover", counted)
+        verdict = hunt(9, HuntCorpus(sizes=(3, 3, 4), base_seed=21))
+        assert verdict.structures_examined > 0 and verdict.counterexamples
+        assert calls == [AxiomId.F6] * verdict.structures_examined
 
     def test_problem_nine_clean_corpus(self, p3):
         verdict = hunt(9, NamedCorpus((p3,)))

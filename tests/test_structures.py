@@ -18,6 +18,7 @@ from conftest import mask_of, masks_of
 from tanglekit import (
     ORIENTATION_KINDS,
     AxiomId,
+    ConnectivitySystem,
     FilterBaseError,
     GroundSetLimitError,
     SeparationFamily,
@@ -29,6 +30,7 @@ from tanglekit import (
     check_structure,
     efficient_masks,
     enumerate_all,
+    explicit_system,
     min_cardinality_system,
     random_hyperedge_system,
     to_document,
@@ -114,6 +116,15 @@ class TestSingleAxioms:
         res = check_axiom(min3, 0, family(min3, 0, []), A.T1)
         assert not res.passed and res.witness[0].first == 0
 
+    def test_orientation_reads_f_at_the_lower_side_only(self):
+        # f({1,2}) = 0 but f({0}) = 1: at k = 0 the separation ({1,2}, {0})
+        # has order <= k only from one side.  The scan visits the lower side
+        # {0} of that pair, so the family of (X, emptyset) alone orients it
+        values = (0, 1, 1, 1, 1, 1, 0, 0)
+        skewed = ConnectivitySystem(3, "explicit", values=values)
+        assert check_axiom(skewed, 0, family(skewed, 0, [7]), A.T1).passed
+        assert not check_axiom(skewed, 0, family(skewed, 0, []), A.T1).passed
+
     def test_missing_efficient_singleton(self, min3):
         res = check_axiom(min3, 1, family(min3, 1, [0, 1, 2]), A.T2)
         assert not res.passed
@@ -144,6 +155,14 @@ class TestSingleAxioms:
         assert [s.first for s in res.witness] == [1, 2]
         # but the same pair is fine when their meet cannot have order <= k
         assert check_axiom(min3, 1, family(min3, 1, [3, 5, 6, 7]), A.WF5).passed
+
+    def test_wf5_needs_the_empty_side_orientable(self):
+        # f is 1 everywhere: at k = 0, (emptyset, X) is no separation of
+        # order <= k, so disjoint members are allowed
+        lifted = explicit_system([1, 1, 1, 1])
+        assert check_axiom(lifted, 0, family(lifted, 0, [1, 2]), A.WF5).passed
+        res = check_axiom(lifted, 1, family(lifted, 1, [1, 2]), A.WF5)
+        assert [s.first for s in res.witness] == [1, 2]
 
     def test_deletion_closure_gap(self, min3):
         res = check_axiom(min3, 1, family(min3, 1, [3]), A.SF5)
@@ -213,6 +232,14 @@ class TestSingleAxioms:
         assert not check_axiom(big, 1, fam, A.F2).passed
         with pytest.raises(GroundSetLimitError):
             check_axiom(big, 1, fam, A.T1)
+
+    def test_order_bound_beyond_the_enumeration_cap(self):
+        # past the cap P0 reads f member by member instead of the table
+        big = min_cardinality_system(17)
+        res = check_axiom(big, 1, family(big, 1, [0, 1, 3, 6, big.full_mask]), A.P0)
+        assert not res.passed
+        assert [s.first for s in res.witness] == [3]
+        assert check_axiom(big, 1, family(big, 1, [0, 1, 1 << 16]), A.P0).passed
 
 
 class TestCheckStructure:
@@ -626,18 +653,28 @@ def random_family_masks(system, k, rng):
 class TestKernelMatchesScans:
     @given(
         n=st.integers(1, 7),
-        hyper=st.booleans(),
+        source=st.sampled_from(("min_cardinality", "hyperedge", "lifted", "any_table")),
         seed=st.integers(0, 10_000),
         k_offset=st.integers(-1, 3),
     )
     @settings(max_examples=300, deadline=None)
-    def test_verdicts_witnesses_and_elements(self, n, hyper, seed, k_offset):
-        """The kernel agrees with the scans of ``oracle.scan_reference``."""
-        if hyper and n > 1:
+    def test_verdicts_witnesses_and_elements(self, n, source, seed, k_offset):
+        """The kernel agrees with the scans of ``oracle.scan_reference``.
+
+        ``lifted`` adds one to a hyperedge f, so that f(emptyset) may exceed
+        k; ``any_table`` is an unverified table, neither symmetric nor
+        submodular, as the scans never assumed either.
+        """
+        rng = random.Random(seed)
+        if source == "any_table":
+            values = tuple(rng.randint(0, n) for _ in range(1 << n))
+            system = ConnectivitySystem(n, "explicit", values=values)
+        elif source != "min_cardinality" and n > 1:
             system = random_hyperedge_system(n, n, min(3, n), seed)
+            if source == "lifted":
+                system = explicit_system([v + 1 for v in system.table().tolist()])
         else:
             system = min_cardinality_system(n)
-        rng = random.Random(seed)
         k = max(0, rng.randint(0, system.max_order()) + k_offset)
         masks = random_family_masks(system, k, rng)
         fam = family(system, k, masks)
@@ -651,3 +688,43 @@ class TestKernelMatchesScans:
             report = check_structure(system, k, fam, kind)
             for ax in axioms:
                 assert _entry(report.result(ax)) == want[ax], (kind, ax)
+
+
+class TestKernelReadsNoScalarOrder:
+    """The kernel reads orders from the table, not through ``evaluate``."""
+
+    @staticmethod
+    def passing_cases():
+        # each system is built twice: once to find the families, and once
+        # fresh, with no table yet, for the checks themselves
+        def hyper():
+            return random_hyperedge_system(6, 6, 3, 160)
+
+        def card16():
+            return min_cardinality_system(16)
+
+        found = hyper()
+        wuf = enumerate_all("weak_ultrafilter", found, 3).families[0].member_masks
+        prof = enumerate_all("profile", found, 3).families[0].member_masks
+        yield hyper, 3, wuf, (A.P0, A.F1, A.F4, A.WF5)
+        yield hyper, 3, prof, (A.P0, A.T1, A.P1, A.P2)
+        yield card16, 0, [0xFFFF], (A.P0, A.F1, A.F4, A.WF5)
+        yield card16, 0, [0], (A.P0, A.T1, A.P1, A.P2)
+
+    def test_passing_families_make_no_scalar_evaluate_call(self, monkeypatch):
+        calls = []
+        evaluate = ConnectivitySystem.evaluate
+
+        def counted(system, mask):
+            calls.append(mask)
+            return evaluate(system, mask)
+
+        monkeypatch.setattr(ConnectivitySystem, "evaluate", counted)
+        for build, k, masks, axioms in self.passing_cases():
+            for ax in axioms:
+                system = build()
+                fam = family(system, k, masks)
+                calls.clear()
+                assert check_axiom(system, k, fam, ax).passed, (system.name, ax)
+                # WF5 reads f at the empty side once; the rest read the table
+                assert len(calls) <= (1 if ax is A.WF5 else 0), (system.name, ax, calls)
