@@ -32,7 +32,7 @@ so five clauses are written once and read a second time through reversal
 back out of the witness, or swaps up- and down-closure):
 
 =============  ==========================  ===============================
-clause         read through reversal       shared scan
+clause         read through reversal       shared check
 =============  ==========================  ===============================
 T3             F6                          no member triple covers X
 P2             F4                          efficient sets below a member
@@ -49,10 +49,10 @@ shifted up by 2**e, land on the same masks with e added (up), and back
 (down).  Reversal, m -> X ^ m, swaps those two halves for every e.  Then P0
 fails on M & ~bits, T1 on bits & ~(M | rev M) among the masks without the
 top element (m < X ^ m), P2 on down(M) & bits & ~M, F4 on up(M) & bits & ~M,
-and WF5 on M & down(rev M).  An ascending scan stops at the least failing
-mask, which is the lowest set bit of the failing set, so the witnesses are
-those of the scans; a pair's second mask is the lowest bit of the failing
-set among the masks below (P2) or above (F4) its first.
+and WF5 on M & down(rev M).  A scan in canonical order stops at the least
+failing mask, the lowest set bit of the failing set, so each witness is the
+one such a scan reports; a pair's second mask is the lowest bit of the
+failing set among the masks below (P2) or above (F4) its first.
 
 Tangle-side reports carry a T4 entry and ultrafilter-side reports an F6
 entry.  These are informational: both properties are consequences of the
@@ -221,7 +221,7 @@ class StructureReport:
 
 
 @lru_cache(maxsize=4)  # 48 MB at n = 24, so only a few sizes are kept
-def _containing(n: int) -> list[tuple[int, int]]:
+def _containing(n: int) -> tuple[tuple[int, int], ...]:
     """Per element e, (2**e, the bitset of the masks that contain e)."""
     out = []
     for e in range(n):
@@ -229,7 +229,7 @@ def _containing(n: int) -> list[tuple[int, int]]:
         for d in range(e + 1, n):
             block |= block << (1 << d)
         out.append((1 << e, block))
-    return out
+    return tuple(out)
 
 
 def _up(bits: int, n: int) -> int:
@@ -272,7 +272,7 @@ class _Ctx:
     @cached_property
     def bits(self) -> int:
         # bit m set iff mask m is a member; members are distinct, so + is |
-        return sum(map((1).__lshift__, self.masks))
+        return sum(1 << m for m in self.masks)
 
     @cached_property
     def reversed_bits(self) -> int:
