@@ -556,12 +556,13 @@ def check_filter_base_generates(
     construction.
     """
     _validate(system, k, base)
+    ctx = _Ctx(system, k, base)
     for axiom in (AxiomId.FB1, AxiomId.FB2):
-        result = _CHECKS[axiom](_Ctx(system, k, base))
+        result = _CHECKS[axiom](ctx)
         if not result.passed:
             raise FilterBaseError(
                 f"family is not a filter base: {axiom.value} fails", result
             )
-    above = _up(_Ctx(system, k, base).bits, system.n)
-    closure = [c for c in efficient_context(system, k).masks if above >> c & 1]
+    above = _up(ctx.bits, system.n)
+    closure = [c for c in ctx.eff.masks if above >> c & 1]
     return SeparationFamily.from_masks(system, k, closure)

@@ -9,18 +9,16 @@ A failing selection kills the mutant; a passing one lets it survive, which
 is a test gap to close with a test or to record here as an equivalent edit.
 The working tree is never written to.
 
-    python tools/mutants.py                  # every mutant, JSON on stdout
-    python tools/mutants.py --only up-shift-direction --out mutants.json
-    python tools/mutants.py --list
+    python tools/mutants.py > mutants.json
 
-The exit code is 0 when every mutant is killed, 1 when one survives and 2
-when an edit no longer applies or a selection fails on the unedited copy.
+The exit code is 0 when every mutant is killed, 1 when one survives, and 2
+when an edit no longer applies, a selection fails on the unedited copy or
+pytest ends a run with an error other than a failing test.
 Hypothesis runs with a fixed seed, so results repeat.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -129,7 +127,7 @@ def _apply(workdir: Path, mutant: Mutant) -> None:
     path = workdir / mutant.path
     text = path.read_text()
     if text.count(mutant.old) != 1:
-        raise LookupError(f"{mutant.name}: edit does not match exactly once in {mutant.path}")
+        raise RuntimeError(f"{mutant.name}: edit does not match exactly once in {mutant.path}")
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
@@ -140,7 +138,7 @@ def run(mutants) -> dict:
         selections = sorted({t for m in mutants for t in m.tests})
         code, _ = _pytest(clean, selections)
         if code != 0:
-            return {"error": f"selection fails on the unedited copy (pytest exit {code})"}
+            raise RuntimeError(f"the selections fail on the unedited copy (pytest exit {code})")
         results = []
         for i, mutant in enumerate(mutants):
             workdir = Path(tmp) / f"m{i}"
@@ -164,31 +162,14 @@ def run(mutants) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", action="append", help="run this mutant (repeatable)")
-    parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name}\t{m.path}")
-        return 0
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
-    if unknown or not chosen:
-        parser.error(f"unknown mutant(s): {', '.join(sorted(unknown)) or 'none chosen'}")
+def main() -> int:
     try:
-        report = run(chosen)
-    except LookupError as err:
+        report = run(MUTANTS)
+    except RuntimeError as err:
         print(err, file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    else:
-        sys.stdout.write(text)
-    if "error" in report or report["errors"]:
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    if report["errors"]:
         return 2
     return 1 if report["survived"] else 0
 
