@@ -297,8 +297,8 @@ def _fail(axiom, ctx, masks, element=None):
 
 
 # ---------------------------------------------------------------------------
-# individual axiom checks; each is the literal clause with a canonical-order
-# scan so the first witness is deterministic
+# individual axiom checks; each is the literal clause, and its first witness
+# is the first hit of a scan in canonical order
 
 
 def _check_p0(ctx):
