@@ -118,8 +118,8 @@ class TestSingleAxioms:
 
     def test_orientation_reads_f_at_the_lower_side_only(self):
         # f({1,2}) = 0 but f({0}) = 1: at k = 0 the separation ({1,2}, {0})
-        # has order <= k only from one side.  The scan visits the lower side
-        # {0} of that pair, so the family of (X, emptyset) alone orients it
+        # has order <= k only from one side.  T1 reads f at the lower side
+        # {0} of each pair, so the family of (X, emptyset) alone passes
         values = (0, 1, 1, 1, 1, 1, 0, 0)
         skewed = ConnectivitySystem(3, "explicit", values=values)
         assert check_axiom(skewed, 0, family(skewed, 0, [7]), A.T1).passed
