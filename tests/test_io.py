@@ -1,5 +1,6 @@
 """Canonical JSON round-trips and strict ingest validation."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,13 +8,16 @@ import pytest
 from tanglekit import (
     AxiomId,
     FunctionAxiomError,
+    HuntCorpus,
     NamedCorpus,
     SchemaError,
     SeparationFamily,
     branch_width,
     build_system,
+    builtin_system,
     check_structure,
     explicit_system,
+    graph_cut_system,
     hunt,
     io,
     load_document,
@@ -395,3 +399,56 @@ class TestStrictIngest:
         assert text == json.dumps(
             {"version": 1, "k": 0, "sides": [[]]}, indent=2
         ) + "\n"
+
+
+def byte_format_objects():
+    """At least one object of every shape in the ``io`` docstring table."""
+    min3, c4, k4 = (builtin_system(name) for name in ("min3", "c4", "k4"))
+    # a 5-cycle whose labels need escapes or lie beyond ASCII
+    labels = ["Ørsted", 'q"uote', "back\\slash", "tab\there", "日本"]
+    cycle = graph_cut_system(
+        labels, [[labels[i], labels[(i + 1) % 5]] for i in range(5)], name="cycle-ünï"
+    )
+    hyper = build_system(
+        {"kind": "hyperedge_boundary", "n": 4, "hyperedges": [[0, 1], [1, 2, 3]]}
+    )
+    with_empty = SeparationFamily.from_masks(min3, 1, [0, 3, 5])
+    failing = check_structure(
+        min3, 1, SeparationFamily.from_masks(min3, 1, [3, 5, 6, 7]), "ultrafilter"
+    )
+    return [
+        explicit_system(MIN3_TABLE, name="tablé"), min3, c4, cycle, hyper,
+        with_empty,
+        failing,
+        check_structure(min3, 1, SeparationFamily.from_masks(min3, 1, [0, 1, 2, 4]),
+                        "tangle"),
+        verify_theorem(12, cycle, 1),
+        verify_theorem(15, min3, 0),
+        hunt(9, NamedCorpus((min3, c4))),
+        hunt(10, NamedCorpus((cycle,), kmax=2)),
+        hunt(9, HuntCorpus((3, 4), 7)),
+        verify_branchwidth_duality(c4),
+        branch_width(k4)[1],
+        [min3, with_empty, verify_branchwidth_duality(min3)],
+        to_document(failing),
+    ]
+
+
+class TestByteFormat:
+    def test_pinned_bytes(self):
+        """SHA-256 over ``io.dumps`` of every shape, pinned with ``json.dumps``.
+
+        The digest was taken while the text still came from
+        ``json.dumps(doc, indent=2, ensure_ascii=False)``, so any drift of
+        the writer from that format changes it.
+        """
+        digest = hashlib.sha256()
+        size = 0
+        for obj in byte_format_objects():
+            text = io.dumps(obj).encode()
+            digest.update(text + b"\0")
+            size += len(text)
+        assert size == 57_671
+        assert digest.hexdigest() == (
+            "2e4145beb246431a9a4a5368e3f6fc472cd25b92bc7b17d93c33a9c120d1554c"
+        )
