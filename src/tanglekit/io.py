@@ -28,7 +28,10 @@ branch-width report   version, system, width, tree
 
 Sides and witnesses are sorted element lists; families list sides in
 ascending mask order.  Serialization is indent-2 UTF-8 with a trailing
-newline, so ``save(load(path))`` reproduces the file byte for byte.
+newline, so ``save(load(path))`` reproduces the file byte for byte.  One
+emitter writes it, byte-equal to ``json.dumps(doc, indent=2,
+ensure_ascii=False)`` at half its cost; building, parsing and validating a
+document pause the cyclic GC, which would rescan it while it is allocated.
 Ingest is strict: unknown fields, duplicate keys, bad versions, wrong
 types, out-of-range elements and duplicate sides are all rejected.
 Declared values that can be recomputed (orders, the k bound's sign) are
@@ -37,7 +40,10 @@ verified rather than believed.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .connectivity import (
@@ -60,6 +66,21 @@ def _reject_duplicate_keys(pairs):
         dup = sorted(k for k in doc if keys.count(k) > 1)
         raise SchemaError(f"duplicate JSON keys: {dup}")
     return doc
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic GC, which rescans a document's million containers as
+    they are allocated.  Documents are trees that reference counting frees and
+    the toolkit starts no threads; a GC the caller had disabled stays so.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _parse(path):
@@ -297,92 +318,102 @@ def _side_lists(masks):
     return [mask_elements(m) for m in masks]
 
 
+def _fill(fields, *values):
+    """An entry: the keys of its check table, in that order, with ``values``."""
+    return dict(zip(fields, values, strict=True))
+
+
+def _document(shape_key, *values):
+    return {"version": 1, **_fill(_SHAPES[shape_key][1], *values)}
+
+
 def to_document(obj) -> dict:
-    """Canonical JSON-shaped dict for any toolkit object or parsed dict."""
+    """Canonical JSON-shaped dict for any toolkit object or parsed dict.
+
+    Keys come in the order of the check tables above, which the reader walks.
+    """
     if isinstance(obj, dict):
         return _canon_document(obj)
     if isinstance(obj, ConnectivitySystem):
         return {"version": 1, **system_descriptor(obj)}
     if isinstance(obj, SeparationFamily):
-        return {"version": 1, "k": obj.k, "sides": _side_lists(obj.member_masks)}
+        return _document("sides", obj.k, _side_lists(obj.member_masks))
     if isinstance(obj, StructureReport):
-        return {
-            "version": 1,
-            "kind": obj.kind.value,
-            "k": obj.k,
-            "variant": obj.variant,
-            "axioms": [
-                {
-                    "id": r.axiom.value,
-                    "pass": r.passed,
-                    "witness": _side_lists(s.first for s in r.witness),
-                    "element": r.element,
-                }
-                for r in obj.results
-            ],
-            "pass": obj.passed,
-        }
+        axioms = [
+            _fill(_AXIOM_ENTRY, r.axiom.value, r.passed,
+                  _side_lists(s.first for s in r.witness), r.element)
+            for r in obj.results
+        ]
+        return _document("axioms", obj.kind.value, obj.k, obj.variant, axioms, obj.passed)
     if isinstance(obj, EquivalenceVerdict):
-        return {
-            "version": 1,
-            "theorem": obj.theorem,
-            "system": obj.system,
-            "k": obj.k,
-            "pass": obj.passed,
-            "counts": dict(obj.counts),
-            "unmatched": [
-                {"kind": kind, "sides": _side_lists(f.member_masks)}
-                for kind, f in obj.unmatched
-            ],
-            "bw": obj.bw,
-        }
+        unmatched = [
+            _fill(_UNMATCHED_ENTRY, kind, _side_lists(f.member_masks))
+            for kind, f in obj.unmatched
+        ]
+        return _document("theorem", obj.theorem, obj.system, obj.k, obj.passed,
+                         dict(obj.counts), unmatched, obj.bw)
     if isinstance(obj, HuntVerdict):
-        return {
-            "version": 1,
-            "problem": obj.problem,
-            "corpus": obj.corpus,
-            "systems_examined": obj.systems_examined,
-            "structures_examined": obj.structures_examined,
-            "counterexamples": [
-                {
-                    "system": system_descriptor(c.system),
-                    "k": c.k,
-                    "claim": c.claim,
-                    "sides": _side_lists(c.family.member_masks),
-                    "failing_axiom": c.failing_axiom.value,
-                    "witness": _side_lists(s.first for s in c.witness),
-                }
-                for c in obj.counterexamples
-            ],
-            "status": obj.status,
-        }
+        counterexamples = [
+            _fill(_COUNTEREXAMPLE, system_descriptor(c.system), c.k, c.claim,
+                  _side_lists(c.family.member_masks), c.failing_axiom.value,
+                  _side_lists(s.first for s in c.witness))
+            for c in obj.counterexamples
+        ]
+        return _document("problem", obj.problem, obj.corpus, obj.systems_examined,
+                         obj.structures_examined, counterexamples, obj.status)
     if isinstance(obj, DualityReport):
-        return {
-            "version": 1,
-            "system": obj.system,
-            "bw": obj.bw,
-            "max_tangle_order": obj.max_tangle_order,
-            "per_k": [
-                {"k": k, "tangle_exists": exists, "matches": matches}
-                for k, exists, matches in obj.per_k
-            ],
-            "agrees": obj.agrees,
-            "degenerate": obj.degenerate,
-        }
+        per_k = [_fill(_PER_K_ENTRY, *row) for row in obj.per_k]
+        return _document("per_k", obj.system, obj.bw, obj.max_tangle_order, per_k,
+                         obj.agrees, obj.degenerate)
     if isinstance(obj, BranchDecomposition):
-        return {
-            "version": 1,
-            "system": obj.system.describe(),
-            "width": obj.width,
-            "tree": obj.nested(),
-        }
+        return _document("tree", obj.system.describe(), obj.width, obj.nested())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _text(doc) -> str:
+    """``json.dumps(doc, indent=2, ensure_ascii=False)``, one join per container.
+
+    A list of plain ints is one string, kept per (indent, ints): sides repeat.
+    """
+    memo = {}
+
+    def emit(value, nl):
+        if isinstance(value, str):
+            return encode_basestring(value)
+        if isinstance(value, list):
+            if not value:
+                return "[]"
+            inner = nl + "  "
+            if all(type(v) is int for v in value):
+                key = (nl, *value)
+                text = memo.get(key)
+                if text is None:
+                    items = ("," + inner).join(map(int.__repr__, value))
+                    text = memo[key] = "[" + inner + items + nl + "]"
+                return text
+            return "[" + inner + ("," + inner).join([emit(v, inner) for v in value]) + nl + "]"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = nl + "  "
+            items = [encode_basestring(k) + ": " + emit(v, inner) for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if value is None or value is True or value is False:
+            return "null" if value is None else "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, tuple):
+            return emit(list(value), nl)
+        return json.dumps(value)  # floats
+
+    return emit(doc, "\n")
 
 
 def dumps(obj) -> str:
     """Canonical text of one object, or of a list of objects as a JSON array."""
-    doc = [to_document(o) for o in obj] if isinstance(obj, list) else to_document(obj)
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    with _gc_paused():
+        doc = [to_document(o) for o in obj] if isinstance(obj, list) else to_document(obj)
+        return _text(doc) + "\n"
 
 
 def save(document, path) -> None:
@@ -393,15 +424,19 @@ def save(document, path) -> None:
     Path(path).write_text(dumps(document), encoding="utf-8")
 
 
+def _read(path) -> dict:
+    with _gc_paused():
+        return _canon_document(_parse(path))
+
+
 def load_document(path) -> dict:
     """Parse, validate and canonicalize any toolkit JSON document."""
-    return _canon_document(_parse(path))
+    return _read(path)
 
 
 def load_system(path) -> ConnectivitySystem:
     """Build a system from a file; explicit tables get full verification."""
-    doc = _parse(path)
-    payload = _canon_document(doc)
+    payload = _read(path)
     if payload.get("kind") not in SYSTEM_KINDS:
         raise SchemaError(f"{path} does not hold a system document")
     payload.pop("version")
@@ -413,19 +448,15 @@ def load_system(path) -> ConnectivitySystem:
 
 def load_family(path, system: ConnectivitySystem) -> SeparationFamily:
     """Read a family against a known system; orders are recomputed."""
-    payload = _canon_document(_parse(path))
+    payload = _read(path)
     if "sides" not in payload or "kind" in payload:
         raise SchemaError(f"{path} does not hold a family document")
     masks = []
     for i, side in enumerate(payload["sides"]):
-        mask = 0
-        for e in side:
-            if e >= system.n:
-                raise SchemaError(
-                    f"sides[{i}]: element {e} out of range for n={system.n}"
-                )
-            mask |= 1 << e
-        masks.append(mask)
+        if side and side[-1] >= system.n:  # sides ascend: the last is the largest
+            e = next(e for e in side if e >= system.n)
+            raise SchemaError(f"sides[{i}]: element {e} out of range for n={system.n}")
+        masks.append(sum(1 << e for e in side))
     try:
         return SeparationFamily.from_masks(system, payload["k"], masks)
     except ValueError as exc:

@@ -1,9 +1,12 @@
 """Canonical JSON round-trips and strict ingest validation."""
 
+import gc
 import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tanglekit import (
     AxiomId,
@@ -445,10 +448,77 @@ class TestByteFormat:
         digest = hashlib.sha256()
         size = 0
         for obj in byte_format_objects():
-            text = io.dumps(obj).encode()
-            digest.update(text + b"\0")
-            size += len(text)
+            text = io.dumps(obj)
+            doc = [to_document(o) for o in obj] if isinstance(obj, list) else to_document(obj)
+            assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+            data = text.encode()
+            digest.update(data + b"\0")
+            size += len(data)
         assert size == 57_671
         assert digest.hexdigest() == (
             "2e4145beb246431a9a4a5368e3f6fc472cd25b92bc7b17d93c33a9c120d1554c"
         )
+
+
+# JSON trees with what the writer special-cases: empty containers, lists of
+# plain ints (memoised per indent), ints mixed with lists (a branch-width
+# tree), bools beside ints, ints beyond 64 bits and strings needing escapes
+_TEXT = st.text() | st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\t\u2028aéØ日😀')
+_INTS = st.integers() | st.integers(min_value=-(2**70), max_value=2**70)
+_SCALARS = st.none() | st.booleans() | _INTS | _TEXT | st.floats()
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(_INTS, max_size=4)
+        | st.lists(st.integers(0, 9) | inner, max_size=4)
+        | st.lists(st.integers(-3, 3) | st.booleans(), max_size=4)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    @example([[1, 2], {"a": [1, 2], "b": [[1, 2]]}, [], {}, [True, 1], [[]]])
+    def test_text_matches_json_dumps(self, value):
+        assert io._text(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+class TestGcState:
+    """Public I/O calls pause the cyclic GC and leave it as they found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, tmp_path, min3, enabled):
+        fam = SeparationFamily.from_masks(min3, 1, [0, 3])
+        system_path, family_path = tmp_path / "system.json", tmp_path / "family.json"
+        save(min3, system_path)
+        save(fam, family_path)
+        bad = write(tmp_path, '{"version": 1, "k": 0, "k": 1, "sides": []}', "bad.json")
+        unknown = {"version": 1, "payload": 3}
+        calls = [
+            (lambda: save(fam, tmp_path / "out.json"), False),
+            (lambda: io.dumps([min3, fam]), False),
+            (lambda: load_document(family_path), False),
+            (lambda: load_system(system_path), False),
+            (lambda: load_family(family_path, min3), False),
+            (lambda: save(unknown, tmp_path / "out.json"), True),
+            (lambda: io.dumps(unknown), True),
+            (lambda: load_document(bad), True),
+            (lambda: load_system(bad), True),
+            (lambda: load_family(bad, min3), True),
+        ]
+        before = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for i, (call, fails) in enumerate(calls):
+                if fails:
+                    with pytest.raises(SchemaError):
+                        call()
+                else:
+                    call()
+                assert gc.isenabled() is enabled, i
+        finally:
+            (gc.enable if before else gc.disable)()
