@@ -52,7 +52,8 @@ top element (m < X ^ m), P2 on down(M) & bits & ~M, F4 on up(M) & bits & ~M,
 and WF5 on M & down(rev M).  A scan in canonical order stops at the least
 failing mask, the lowest set bit of the failing set, so each witness is the
 one such a scan reports; a pair's second mask is the lowest bit of the
-failing set among the masks below (P2) or above (F4) its first.
+failing set among the masks below (P2) or above (F4) its first.  P3b/F5,
+SF5 and FB2 keep their scans but read f(m) <= k from the context as well.
 
 Tangle-side reports carry a T4 entry and ultrafilter-side reports an F6
 entry.  These are informational: both properties are consequences of the
@@ -283,6 +284,12 @@ class _Ctx:
         # read on use only: axioms over the members alone work beyond the n cap
         return efficient_context(self.system, self.k)
 
+    def within(self, mask: int) -> bool:
+        """f(mask) <= k: looked up in the context up to the cap, read beyond it."""
+        if self.n <= ENUMERATION_LIMIT:
+            return mask in self.eff.mask_set
+        return self.system.evaluate(mask) <= self.k
+
     def sep(self, mask: int) -> Separation:
         return make_separation(self.system, mask)
 
@@ -359,7 +366,7 @@ def _check_sf5(ctx):
     for a in ctx.masks:
         for e in ctx.eff.elements:
             shrunk = a & ~(1 << e)
-            if ctx.system.evaluate(shrunk) <= ctx.k and shrunk not in ctx.mask_set:
+            if shrunk not in ctx.mask_set and ctx.within(shrunk):
                 return _fail(AxiomId.SF5, ctx, (a, shrunk), element=e)
     return _ok(AxiomId.SF5)
 
@@ -422,7 +429,7 @@ def _check_join(axiom, ctx, flip):
     for i, a1 in enumerate(ms):
         for j in range(i, len(ms)):
             join = (a1 | ms[j]) ^ flip
-            if ctx.system.evaluate(join) <= ctx.k and join not in ctx.mask_set:
+            if join not in ctx.mask_set and ctx.within(join):
                 return _fail(axiom, ctx, (a1 ^ flip, ms[j] ^ flip, join))
     return _ok(axiom)
 
@@ -462,7 +469,7 @@ def _check_fb2(ctx):
         for j in range(i, len(ms)):
             meet = a1 & ms[j]
             found = any(
-                a3 & ~meet == 0 and ctx.system.evaluate(a3) <= ctx.k for a3 in ms
+                a3 & ~meet == 0 and ctx.within(a3) for a3 in ms
             )
             if not found:
                 return _fail(AxiomId.FB2, ctx, (a1, ms[j]))

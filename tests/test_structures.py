@@ -703,13 +703,20 @@ class TestKernelReadsNoScalarOrder:
         def card16():
             return min_cardinality_system(16)
 
+        def first(kind):
+            return enumerate_all(kind, found, 3).families[0].member_masks
+
         found = hyper()
-        wuf = enumerate_all("weak_ultrafilter", found, 3).families[0].member_masks
-        prof = enumerate_all("profile", found, 3).families[0].member_masks
-        yield hyper, 3, wuf, (A.P0, A.F1, A.F4, A.WF5)
-        yield hyper, 3, prof, (A.P0, A.T1, A.P1, A.P2)
+        yield hyper, 3, first("weak_ultrafilter"), (A.P0, A.F1, A.F4, A.WF5)
+        yield hyper, 3, first("profile"), (A.P0, A.T1, A.P1, A.P2, A.P3B)
+        yield hyper, 3, first("ultrafilter"), (A.F5,)
+        yield hyper, 3, first("single_ultrafilter"), (A.SF5,)
         yield card16, 0, [0xFFFF], (A.P0, A.F1, A.F4, A.WF5)
         yield card16, 0, [0], (A.P0, A.T1, A.P1, A.P2)
+        # at k = 1 every meet (join) of two distinct members below has order 2
+        full = 0xFFFF
+        yield card16, 1, [full] + [full ^ 1 << e for e in range(16)], (A.F5, A.SF5)
+        yield card16, 1, [0] + [1 << e for e in range(16)], (A.P3B,)
 
     def test_passing_families_make_no_scalar_evaluate_call(self, monkeypatch):
         calls = []
