@@ -31,11 +31,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STRUCTURES = "src/tanglekit/structures.py"
+IO = "src/tanglekit/io.py"
 KERNEL_TESTS = (
     "tests/test_structures.py::TestKernelMatchesScans",
     "tests/test_structures.py::TestPinnedResults",
     "tests/test_structures.py::TestSingleAxioms",
 )
+WRITER_TESTS = ("tests/test_io.py::TestByteFormat", "tests/test_io.py::TestWriter")
+GC_TESTS = ("tests/test_io.py::TestGcState",)
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,52 @@ MUTANTS = (
         "f6 = check_structure(system, k, fam, StructureKind.ULTRAFILTER)"
         ".result(AxiomId.F6)",
         ("tests/test_search.py::TestHunt",),
+    ),
+    Mutant(
+        "order-read-through-evaluate-below-the-cap", STRUCTURES,
+        "if self.n <= ENUMERATION_LIMIT:\n            return mask in",
+        "if False:\n            return mask in",
+        ("tests/test_structures.py::TestKernelReadsNoScalarOrder",),
+    ),
+    Mutant(
+        "int-list-separator-without-comma", IO,
+        'items = ("," + inner).join(map(int.__repr__, value))',
+        "items = inner.join(map(int.__repr__, value))",
+        WRITER_TESTS,
+    ),
+    Mutant(
+        "int-list-memo-key-without-indent", IO,
+        "key = (nl, *value)",
+        "key = (*value,)",
+        WRITER_TESTS,
+    ),
+    Mutant(
+        "bool-test-after-int-test", IO,
+        'if value is True:\n            return "true"\n'
+        '        if value is False:\n            return "false"\n'
+        "        if isinstance(value, int):\n            return int.__repr__(value)\n",
+        "if isinstance(value, int):\n            return int.__repr__(value)\n"
+        '        if value is True:\n            return "true"\n'
+        '        if value is False:\n            return "false"\n',
+        WRITER_TESTS,
+    ),
+    Mutant(
+        "gc-reenabled-unconditionally", IO,
+        "        if enabled:\n            gc.enable()",
+        "        gc.enable()",
+        GC_TESTS,
+    ),
+    Mutant(
+        "gc-pause-without-finally", IO,
+        "    try:\n        yield\n    finally:\n        if enabled:\n            gc.enable()",
+        "    yield\n    if enabled:\n        gc.enable()",
+        GC_TESTS,
+    ),
+    Mutant(
+        "side-accepts-equal-neighbours", IO,
+        "if type(e) is not int or e <= last:",
+        "if type(e) is not int or e < last:",
+        ("tests/test_io.py::TestFamilyDocuments",),
     ),
 )
 
