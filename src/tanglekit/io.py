@@ -404,7 +404,7 @@ def _text(doc) -> str:
             return int.__repr__(value)
         if isinstance(value, tuple):
             return emit(list(value), nl)
-        return json.dumps(value)  # floats
+        return json.dumps(value)  # floats; other types raise as json.dumps does
 
     return emit(doc, "\n")
 

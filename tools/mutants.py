@@ -126,12 +126,12 @@ MUTANTS = (
     ),
     Mutant(
         "bool-test-after-int-test", IO,
-        'if value is True:\n            return "true"\n'
-        '        if value is False:\n            return "false"\n'
+        "if value is None or value is True or value is False:\n"
+        '            return "null" if value is None else "true" if value else "false"\n'
         "        if isinstance(value, int):\n            return int.__repr__(value)\n",
         "if isinstance(value, int):\n            return int.__repr__(value)\n"
-        '        if value is True:\n            return "true"\n'
-        '        if value is False:\n            return "false"\n',
+        "        if value is None or value is True or value is False:\n"
+        '            return "null" if value is None else "true" if value else "false"\n',
         WRITER_TESTS,
     ),
     Mutant(
