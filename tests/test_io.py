@@ -439,11 +439,11 @@ def byte_format_objects():
 
 class TestByteFormat:
     def test_pinned_bytes(self):
-        """SHA-256 over ``io.dumps`` of every shape, pinned with ``json.dumps``.
+        """SHA-256 over ``io.dumps`` of every shape.
 
-        The digest was taken while the text still came from
-        ``json.dumps(doc, indent=2, ensure_ascii=False)``, so any drift of
-        the writer from that format changes it.
+        The digest is that of ``json.dumps(doc, indent=2, ensure_ascii=False)``
+        on the same objects, so any drift of the writer from that format
+        changes it.
         """
         digest = hashlib.sha256()
         size = 0

@@ -713,7 +713,8 @@ class TestKernelReadsNoScalarOrder:
         yield hyper, 3, first("single_ultrafilter"), (A.SF5,)
         yield card16, 0, [0xFFFF], (A.P0, A.F1, A.F4, A.WF5)
         yield card16, 0, [0], (A.P0, A.T1, A.P1, A.P2)
-        # at k = 1 every meet (join) of two distinct members below has order 2
+        # at k = 1 the meet of X - e and X - e' (the join of {e} and {e'}) has
+        # order 2, so these checks look orders up for non-members
         full = 0xFFFF
         yield card16, 1, [full] + [full ^ 1 << e for e in range(16)], (A.F5, A.SF5)
         yield card16, 1, [0] + [1 << e for e in range(16)], (A.P3B,)
