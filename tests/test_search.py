@@ -26,6 +26,7 @@ from tanglekit import (
     find_one,
     hunt,
     min_cardinality_system,
+    standard_corpus,
 )
 
 PROFILE_KINDS = {
@@ -109,6 +110,26 @@ class TestEnumerateAll:
                         f.member_masks for f in swept
                     ], (name, k, kind.value, variant)
                     assert pruned.complete and swept.complete
+
+    def test_corpus_families_match_the_pin(self):
+        """Families of every kind, variant and k on the whole corpus, frozen.
+
+        The oracle sweeps stop at n = 5 and skip the hyperedge systems;
+        this pin covers all 133 corpus points, n = 6 included.
+        """
+        families = [
+            [f.member_masks for f in enumerate_all(kind, system, k, variant=variant)]
+            for system in standard_corpus()
+            for k in range(system.max_order() + 1)
+            for kind in ORIENTATION_KINDS
+            for variant in (
+                ("corrected", "literal") if kind in PROFILE_KINDS else ("corrected",)
+            )
+        ]
+        assert len(families) == 1_729 and sum(map(len, families)) == 24_587
+        assert hashlib.sha256(repr(families).encode()).hexdigest() == (
+            "6ecd8d845b71829d661977e37804ade1d943640d64d7e8196a11c5348307ff27"
+        )
 
     def test_node_counts_match_the_pin(self, c4, k4):
         """Nodes of every kind and variant on c4 and k4 at every k, frozen.
