@@ -105,7 +105,6 @@ class _Rules:
         self.eff = context.masks
         self.eff_set = context.mask_set
         self.eff_bits = [1 << e for e in context.elements]
-        self.empty_out = AxiomId.F2 in on
         self.singles_in = AxiomId.T2 in on or AxiomId.P4 in on
         self.singles_out = AxiomId.F3 in on
         # flip: 0 reads a clause on the members, the full mask on their reversals;
@@ -120,20 +119,16 @@ class _Rules:
         self.shrink = AxiomId.SF5 in on
         self.cover = AxiomId.T3 in on
         self.line = AxiomId.LT3 in on
-        self.disjoint = AxiomId.F4 in on
         self.pair_ban = _flip(on, AxiomId.P3A_LITERAL, AxiomId.P3A_CORRECTED, full)
         self.element_ban = _flip(on, AxiomId.SP3_LITERAL, AxiomId.SP3_CORRECTED, full)
 
     def forced(self) -> dict[int, int]:
         """canonical mask -> required orientation, from single-member axioms."""
         out = {}
-        if 0 in self.eff_set:
-            if self.empty_out:
-                out[0] = self.full  # F2
-            elif self.below is not None:
-                # the other orientation would pull in its own reversal
-                # through the closure below (T3, LT3, P2; F4 reversed)
-                out[0] = self.below
+        if 0 in self.eff_set and self.below is not None:
+            # the other orientation would pull in its own reversal through
+            # the closure below (T3, LT3, P2; F4 reversed, which is also F2)
+            out[0] = self.below
         for bit in self.eff_bits:
             if self.singles_in:
                 out[bit] = bit  # T2 / P4
@@ -166,11 +161,6 @@ class _Rules:
 
     def conflict(self, m: int, chosen: set[int]) -> bool:
         full = self.full
-        if self.empty_out and m == 0:
-            return True  # F2
-        # two members with disjoint first sides violate F4 either way
-        if self.disjoint and any(m & x == 0 for x in chosen):
-            return True
         both = [m, *chosen]
         if self.cover:
             for i, x in enumerate(both):
@@ -206,7 +196,6 @@ class _Searcher:
         self.k = k
         self.kind = kind
         self.variant = variant
-        self.prune = prune
         self.limit = limit
         self.budget = budget
         if system.n > budget.max_ground_set:
@@ -214,7 +203,8 @@ class _Searcher:
                 f"ground set of {system.n} exceeds budget "
                 f"max_ground_set={budget.max_ground_set}"
             )
-        self.rules = _Rules(system, k, axiom_ids(kind, variant))
+        # without pruning no rule is on, and the walk sweeps every assignment
+        self.rules = _Rules(system, k, axiom_ids(kind, variant) if prune else ())
         full = system.full_mask
         self.slots = [m for m in self.rules.eff if m <= full ^ m]
         if len(self.slots) > budget.max_unordered:
@@ -293,29 +283,15 @@ class _Searcher:
         canon = self.slots[idx]
         for mask in (canon, self.rules.full ^ canon):
             trail = []
-            if self.prune:
-                ok = self._assign(canon, mask, trail)
-            else:
-                self._tick()
-                self.assignment[canon] = mask
-                self.chosen.add(mask)
-                trail.append(canon)
-                ok = True
-            if ok:
+            if self._assign(canon, mask, trail):
                 self._walk(idx + 1)
             self._undo(trail)
 
     def run(self) -> SearchResult:
         complete = True
         try:
-            trail = []
-            ok = True
-            if self.prune:
-                for canon, mask in sorted(self.rules.forced().items()):
-                    if not self._assign(canon, mask, trail):
-                        ok = False
-                        break
-            if ok:
+            forced = sorted(self.rules.forced().items())
+            if all(self._assign(canon, mask, []) for canon, mask in forced):
                 self._walk(0)
         except _Cut:
             complete = self.limit is not None and len(self.found) >= self.limit
