@@ -6,8 +6,9 @@ The search therefore walks assignments of one orientation per unordered
 separation, pruning with per-kind rules that are sound in one direction
 only: a pruned branch provably contains no passing family, while every
 surviving leaf is re-verified by the independent axiom checkers before it
-is emitted.  Running with ``prune=False`` sweeps all 2^m assignments and
-must produce the same result set; tests rely on that equivalence.
+is emitted.  ``prune=False`` runs the same walk with no rule on, which
+sweeps all 2^m assignments and must produce the same result set; tests
+rely on that equivalence.
 
 Filter bases are not searched (they need not orient anything).
 
@@ -88,14 +89,17 @@ def _flip(on, clause, reversed_reading, full):
 class _Rules:
     """Sound pruning rules, each switched on by the axiom that justifies it.
 
-    ``forced`` pre-assigns orientations implied by the axioms alone,
-    ``closure`` lists orientations implied by one newly chosen side, and
+    ``forced`` lists, as masks, the orientations implied by the axioms
+    alone, ``closure`` those implied by one newly chosen side, and
     ``conflict`` recognises assignments no extension can repair.  A rule
     keyed by a clause and the rule keyed by its reading through reversal
     share one body: ``flip`` is 0 or the full mask, XORed into the masks
-    the rule reads.  The rules restate the clauses instead of calling the
-    checkers, so the leaf re-check stays independent; completeness comes
-    from that re-check, so a missing rule costs time, never results.
+    the rule reads.  F2 needs no rule of its own: F4's closure forces the
+    orientation of (emptyset, X) that F2 asks for, and it puts X - m into
+    the family, so a side m disjoint from a member clashes on its slot.
+    The rules restate the clauses instead of calling the checkers, so the
+    leaf re-check stays independent; completeness comes from that
+    re-check, so a missing rule costs time, never results.
     """
 
     def __init__(self, system: ConnectivitySystem, k: int, axioms):
@@ -122,21 +126,20 @@ class _Rules:
         self.pair_ban = _flip(on, AxiomId.P3A_LITERAL, AxiomId.P3A_CORRECTED, full)
         self.element_ban = _flip(on, AxiomId.SP3_LITERAL, AxiomId.SP3_CORRECTED, full)
 
-    def forced(self) -> dict[int, int]:
-        """canonical mask -> required orientation, from single-member axioms."""
-        out = {}
+    def forced(self) -> list[int]:
+        """The orientations single-member axioms require, as masks."""
+        out = []
         if 0 in self.eff_set and self.below is not None:
             # the other orientation would pull in its own reversal through
             # the closure below (T3, LT3, P2; F4 reversed, which is also F2)
-            out[0] = self.below
-        for bit in self.eff_bits:
-            if self.singles_in:
-                out[bit] = bit  # T2 / P4
-            elif self.singles_out:
-                out[bit] = self.full ^ bit  # F3
+            out.append(self.below)
+        if self.singles_in:
+            out += self.eff_bits  # T2 / P4
+        elif self.singles_out:
+            out += [self.full ^ bit for bit in self.eff_bits]  # F3
         return out
 
-    def closure(self, m: int, chosen: set[int]) -> list[int]:
+    def closure(self, m: int, chosen) -> list[int]:
         out = []
         flip = self.below
         if flip is not None:
@@ -159,7 +162,7 @@ class _Rules:
                     out.append(shrunk)  # SF5
         return out
 
-    def conflict(self, m: int, chosen: set[int]) -> bool:
+    def conflict(self, m: int, chosen) -> bool:
         full = self.full
         both = [m, *chosen]
         if self.cover:
@@ -203,7 +206,6 @@ class _Searcher:
                 f"ground set of {system.n} exceeds budget "
                 f"max_ground_set={budget.max_ground_set}"
             )
-        # without pruning no rule is on, and the walk sweeps every assignment
         self.rules = _Rules(system, k, axiom_ids(kind, variant) if prune else ())
         full = system.full_mask
         self.slots = [m for m in self.rules.eff if m <= full ^ m]
@@ -212,8 +214,8 @@ class _Searcher:
                 f"{len(self.slots)} unordered separations exceed budget "
                 f"max_unordered={budget.max_unordered}"
             )
+        # canonical mask -> chosen orientation; the values are the family
         self.assignment: dict[int, int] = {}
-        self.chosen: set[int] = set()
         self.nodes = 0
         self.found: list[tuple[SeparationFamily, StructureReport]] = []
         self.deadline = (
@@ -235,36 +237,33 @@ class _Searcher:
         comp = self.rules.full ^ m
         return m if m <= comp else comp
 
-    def _assign(self, canon, mask, trail) -> bool:
-        """Bind one slot, then drain this choice's closure; False on clash."""
-        queue = [(canon, mask)]
+    def _assign(self, mask, trail) -> bool:
+        """Orient one slot, then drain this choice's closure; False on clash."""
+        chosen = self.assignment.values()
+        queue = [mask]
         while queue:
-            canon, mask = queue.pop()
+            mask = queue.pop()
+            canon = self._canon(mask)
             prior = self.assignment.get(canon)
             if prior is not None:
                 if prior != mask:
                     return False
                 continue
             self._tick()
-            if self.rules.conflict(mask, self.chosen):
-                self.assignment[canon] = mask  # recorded so undo is uniform
-                trail.append(canon)
+            if self.rules.conflict(mask, chosen):
                 return False
             self.assignment[canon] = mask
-            self.chosen.add(mask)
             trail.append(canon)
-            for forced in self.rules.closure(mask, self.chosen):
-                queue.append((self._canon(forced), forced))
+            queue += self.rules.closure(mask, chosen)
         return True
 
     def _undo(self, trail):
         for canon in trail:
-            mask = self.assignment.pop(canon)
-            self.chosen.discard(mask)
+            del self.assignment[canon]
 
     def _emit_if_valid(self):
         family = SeparationFamily.from_masks(
-            self.system, self.k, sorted(self.chosen)
+            self.system, self.k, sorted(self.assignment.values())
         )
         report = check_structure(
             self.system, self.k, family, self.kind, self.variant
@@ -283,15 +282,14 @@ class _Searcher:
         canon = self.slots[idx]
         for mask in (canon, self.rules.full ^ canon):
             trail = []
-            if self._assign(canon, mask, trail):
+            if self._assign(mask, trail):
                 self._walk(idx + 1)
             self._undo(trail)
 
     def run(self) -> SearchResult:
         complete = True
         try:
-            forced = sorted(self.rules.forced().items())
-            if all(self._assign(canon, mask, []) for canon, mask in forced):
+            if all(self._assign(mask, []) for mask in self.rules.forced()):
                 self._walk(0)
         except _Cut:
             complete = self.limit is not None and len(self.found) >= self.limit

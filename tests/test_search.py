@@ -145,10 +145,32 @@ class TestEnumerateAll:
             for kind in ORIENTATION_KINDS
             for variant in ("literal", "corrected")
         ]
-        assert len(nodes) == 180 and sum(nodes) == 16_694
+        assert len(nodes) == 180 and sum(nodes) == 16_632
         assert hashlib.sha256(repr(nodes).encode()).hexdigest() == (
-            "8a78cc164a01311d9730240b5c2f952cf9c2cdea751d57cb6f0c0922860c3e54"
+            "9d477666a97e7bb1142a0f3fbb40dffe4bedead1df75ba125753ac7ea06073a5"
         )
+
+    def test_leaves_record_each_orientation_under_its_slot(self, monkeypatch, c4, k4):
+        """Forced, closure and branch orientations all land on the slot of
+        their separation, so no separation is recorded twice or branched on
+        after it is forced."""
+        from tanglekit import search
+
+        leaves = []
+        emit = search._Searcher._emit_if_valid
+
+        def recorded(searcher):
+            leaves.append(set(searcher.assignment) == set(searcher.slots))
+            emit(searcher)
+
+        monkeypatch.setattr(search._Searcher, "_emit_if_valid", recorded)
+        hyper6 = next(s for s in standard_corpus() if s.n == 6)
+        for system in (c4, k4, hyper6):
+            for k in range(system.max_order() + 1):
+                for kind in ORIENTATION_KINDS:
+                    for variant in ("literal", "corrected"):
+                        enumerate_all(kind, system, k, variant=variant)
+        assert len(leaves) > 100 and all(leaves)
 
     def test_frozen_counts_on_min3(self, min3):
         at_k0 = {
