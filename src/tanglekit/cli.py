@@ -52,14 +52,17 @@ def _resolve_system(ref: str):
     )
 
 
-def _guard(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (ToolkitError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
+class _Group(click.Group):
+    """Turns what the library and the filesystem refuse into usage errors (exit 2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ToolkitError, ValueError, OSError) as exc:
+            raise click.UsageError(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="tanglekit")
 def main():
     """Tangles, ultrafilters and profiles over symmetric submodular orders."""
@@ -75,15 +78,13 @@ def main():
 def check(system_ref, family_path, kind, k_override, variant, json_path):
     """Check one family against one structure kind's axioms."""
     system = _resolve_system(system_ref)
-    family = _guard(io.load_family, family_path, system)
+    family = io.load_family(family_path, system)
     k = family.k if k_override is None else k_override
     if k < 0:
         raise click.UsageError("--k must be non-negative")
     if k != family.k:
         family = SeparationFamily.from_masks(system, k, family.member_masks)
-    report = _guard(
-        check_structure, system, k, family, StructureKind(kind), variant
-    )
+    report = check_structure(system, k, family, StructureKind(kind), variant)
     click.echo(f"system {system.describe()}: kind {kind}, k={k}, variant {variant}")
     for r in report.results:
         line = f"  {r.axiom.value:<14} {'pass' if r.passed else 'FAIL'}"
@@ -109,10 +110,7 @@ def check(system_ref, family_path, kind, k_override, variant, json_path):
 def enumerate(system_ref, kind, k, limit, variant, json_path):
     """List every family of a kind at one k, by exhaustive search."""
     system = _resolve_system(system_ref)
-    result = _guard(
-        enumerate_all, StructureKind(kind), system, k,
-        variant=variant, limit=limit,
-    )
+    result = enumerate_all(StructureKind(kind), system, k, variant=variant, limit=limit)
     for family in result.families:
         click.echo(repr(family))
     click.echo(
@@ -131,7 +129,7 @@ def enumerate(system_ref, kind, k, limit, variant, json_path):
 def branch_width_cmd(system_ref, json_path):
     """Exact branch-width with an optimal decomposition witness."""
     system = _resolve_system(system_ref)
-    width, tree = _guard(branch_width, system)
+    width, tree = branch_width(system)
     click.echo(f"branch-width of {system.describe()}: {width}")
     click.echo(f"tree: {tree.nested()}")
     labels = system.labels()
@@ -149,7 +147,7 @@ def branch_width_cmd(system_ref, json_path):
 def duality(system_ref, kmax, json_path):
     """Compare the tangle spectrum against the branch-width oracle."""
     system = _resolve_system(system_ref)
-    report = _guard(verify_branchwidth_duality, system, kmax=kmax)
+    report = verify_branchwidth_duality(system, kmax=kmax)
     click.echo(f"system {report.system}: branch-width {report.bw}, "
                f"max tangle order {report.max_tangle_order}")
     for k, exists, matches in report.per_k:
@@ -180,7 +178,7 @@ def verify_theorems(system_ref, theorems, k, json_path):
     if bad or not wanted:
         raise click.UsageError("--theorems must name theorems among 11,12,15,16")
     system = _resolve_system(system_ref)
-    verdicts = [_guard(verify_theorem, t, system, k) for t in wanted]
+    verdicts = [verify_theorem(t, system, k) for t in wanted]
     for v in verdicts:
         counts = ", ".join(f"{kind}={count}" for kind, count in v.counts.items())
         click.echo(f"theorem {v.theorem} on {v.system} at k={v.k}: "
@@ -205,7 +203,7 @@ def hunt(problem, size, count, seed, kmax, json_path):
     if count < 1:
         raise click.UsageError("--systems must be at least 1")
     corpus = HuntCorpus(sizes=(size,) * count, base_seed=seed, kmax=kmax)
-    verdict = _guard(run_hunt, int(problem), corpus, SearchBudget())
+    verdict = run_hunt(int(problem), corpus, SearchBudget())
     click.echo(
         f"problem {verdict.problem}: {verdict.status} "
         f"({verdict.systems_examined} systems, "

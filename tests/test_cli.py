@@ -291,6 +291,29 @@ def test_inputs_that_examine_nothing_are_usage_errors(runner, args):
     assert runner.invoke(main, args).exit_code == 2
 
 
+BAD_SYSTEM_FILES = {
+    "not-json": "{ this is not json",
+    "schema-error": '{"version": 1, "kind": "min_cardinality", "n": 0}',
+    "asymmetric-table": '{"version": 1, "kind": "explicit", "n": 1, "values": [0, 1]}',
+}
+
+
+@pytest.mark.parametrize("case", ["directory", *BAD_SYSTEM_FILES, "unwritable-json"])
+def test_unusable_files_are_usage_errors(runner, tmp_path, case):
+    args = ["branch-width", "--system", "c4"]
+    if case == "directory":
+        args[2] = str(tmp_path)
+    elif case == "unwritable-json":
+        args += ["--json", str(tmp_path / "missing" / "width.json")]
+    else:
+        path = tmp_path / "system.json"
+        path.write_text(BAD_SYSTEM_FILES[case])
+        args[2] = str(path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output and "Traceback" not in result.output
+
+
 class TestSystemResolution:
     def test_file_path_reference(self, runner, tmp_path, c4):
         path = tmp_path / "ring.json"
