@@ -455,7 +455,7 @@ def hyperedge_system(n: int, hyperedges, *, name: str | None = None) -> Connecti
                 raise ValueError(f"hyperedge {h!r} repeats element {v}")
             seen.add(v)
             m |= 1 << v
-        cleaned.append(members)
+        cleaned.append(tuple(sorted(members)))  # a set, kept sorted as documents hold it
         masks.append(m)
     system = ConnectivitySystem(
         n,

@@ -22,6 +22,7 @@ from tanglekit import (
     explicit_system,
     graph_cut_system,
     hunt,
+    hyperedge_system,
     io,
     load_document,
     load_family,
@@ -84,6 +85,19 @@ class TestSystemDocuments:
         path = tmp_path / "hyper.json"
         save(hyper, path)
         assert list(load_system(path).table()) == list(hyper.table())
+
+    def test_hyperedges_given_unsorted_round_trip(self, tmp_path):
+        # a hyperedge is a set, stored sorted as the loader requires
+        system = hyperedge_system(3, [(2, 0)])
+        assert system.hyperedges == ((0, 2),)
+        path = tmp_path / "hyper.json"
+        save(system, path)
+        assert list(load_system(path).table()) == list(system.table())
+        verdict = hunt(9, NamedCorpus((hyperedge_system(3, [(2, 1, 0)]),)))
+        assert verdict.counterexamples
+        save(verdict, path)
+        for ce in load_document(path)["counterexamples"]:
+            assert ce["system"]["hyperedges"] == [[0, 1, 2]]
 
     def test_save_load_save_bytes(self, tmp_path, c4):
         assert_save_is_idempotent(c4, tmp_path)
