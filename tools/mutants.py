@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STRUCTURES = "src/tanglekit/structures.py"
 IO = "src/tanglekit/io.py"
+SEARCH = "src/tanglekit/search.py"
 KERNEL_TESTS = (
     "tests/test_structures.py::TestKernelMatchesScans",
     "tests/test_structures.py::TestPinnedResults",
@@ -39,6 +40,9 @@ KERNEL_TESTS = (
 )
 WRITER_TESTS = ("tests/test_io.py::TestByteFormat", "tests/test_io.py::TestWriter")
 GC_TESTS = ("tests/test_io.py::TestGcState",)
+# the rules' soundness mutants drop valid families, which the leaf re-check
+# cannot see; the oracle sweeps and the corpus family pin must
+RULE_TESTS = ("tests/test_search.py::TestEnumerateAll",)
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ MUTANTS = (
         ("tests/test_structures.py::TestKernelReadsNoScalarOrder",),
     ),
     Mutant(
-        "hunt-decides-f6-again", "src/tanglekit/search.py",
+        "hunt-decides-f6-again", SEARCH,
         "f6 = report.result(AxiomId.F6)",
         "f6 = check_structure(system, k, fam, StructureKind.ULTRAFILTER)"
         ".result(AxiomId.F6)",
@@ -151,6 +155,55 @@ MUTANTS = (
         "if type(e) is not int or e <= last:",
         "if type(e) is not int or e < last:",
         ("tests/test_io.py::TestFamilyDocuments",),
+    ),
+    Mutant(
+        "closure-below-takes-element-zero", SEARCH,
+        "outside = ~(m ^ flip)",
+        "outside = ~(m ^ flip) & ~1",
+        RULE_TESTS,
+    ),
+    Mutant(
+        "pair-closure-without-reading-back", SEARCH,
+        "join = (read | (x ^ flip)) ^ flip",
+        "join = read | (x ^ flip)",
+        RULE_TESTS,
+    ),
+    Mutant(
+        "sf5-closure-drops-element-zero-too", SEARCH,
+        "shrunk = m & ~bit",
+        "shrunk = m & ~(bit | 1)",
+        RULE_TESTS,
+    ),
+    Mutant(
+        "cover-conflict-counts-element-zero", SEARCH,
+        "if any(mx | y == full for y in both[i:]):",
+        "if any(mx | y | 1 == full for y in both[i:]):",
+        RULE_TESTS,
+    ),
+    Mutant(
+        "line-conflict-without-efficient-element", SEARCH,
+        "if (rest == 0 and self.eff_bits) or rest in self.eff_bits:",
+        "if rest == 0 or rest in self.eff_bits:",
+        RULE_TESTS,
+    ),
+    Mutant(
+        "p3a-ban-reads-one-member-unreversed", SEARCH,
+        "if (x ^ flip) & (y ^ flip) in members:",
+        "if (x ^ flip) & y in members:",
+        RULE_TESTS,
+    ),
+    Mutant(
+        "sp3-ban-over-every-element", SEARCH,
+        "                for bit in self.eff_bits:\n                    if (a",
+        "                for bit in (1 << e for e in range(self.full.bit_length())):\n"
+        "                    if (a",
+        RULE_TESTS,
+    ),
+    Mutant(
+        "f3-forces-singletons-in", SEARCH,
+        "out += [self.full ^ bit for bit in self.eff_bits]  # F3",
+        "out += self.eff_bits  # F3",
+        RULE_TESTS,
     ),
 )
 
