@@ -16,22 +16,25 @@ from pathlib import Path
 import click
 
 from . import __version__, io
+from .connectivity import check_int
 from .corpus import BUILTIN_SYSTEMS, builtin_system
-from .duality import branch_width, verify_branchwidth_duality, verify_theorem
+from .duality import THEOREMS, branch_width, verify_branchwidth_duality, verify_theorem
 from .exceptions import ToolkitError
 from .search import (
     STATUS_COMPLETE,
     HUNT_NONE_FOUND,
+    PROBLEMS,
     HuntCorpus,
     SearchBudget,
     enumerate_all,
     hunt as run_hunt,
 )
 from .separations import SeparationFamily, mask_elements
-from .structures import StructureKind, check_structure
+from .structures import VARIANTS, StructureKind, check_structure
 
 _KIND_CHOICE = click.Choice([k.value for k in StructureKind])
-_VARIANT_CHOICE = click.Choice(["literal", "corrected"])
+_VARIANT_CHOICE = click.Choice(VARIANTS)
+_THEOREM_LIST = ",".join(map(str, THEOREMS))
 CORPUS_DIR_VAR = "TANGLEKIT_CORPUS_DIR"
 
 
@@ -80,8 +83,6 @@ def check(system_ref, family_path, kind, k_override, variant, json_path):
     system = _resolve_system(system_ref)
     family = io.load_family(family_path, system)
     k = family.k if k_override is None else k_override
-    if k < 0:
-        raise click.UsageError("--k must be non-negative")
     if k != family.k:
         family = SeparationFamily.from_masks(system, k, family.member_masks)
     report = check_structure(system, k, family, StructureKind(kind), variant)
@@ -164,8 +165,8 @@ def duality(system_ref, kmax, json_path):
 
 @main.command("verify-theorems")
 @click.option("--system", "system_ref", required=True)
-@click.option("--theorems", default="11,12,15,16", show_default=True,
-              help="comma-separated subset of 11,12,15,16")
+@click.option("--theorems", default=_THEOREM_LIST, show_default=True,
+              help=f"comma-separated subset of {_THEOREM_LIST}")
 @click.option("--k", required=True, type=int)
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def verify_theorems(system_ref, theorems, k, json_path):
@@ -174,9 +175,9 @@ def verify_theorems(system_ref, theorems, k, json_path):
         wanted = [int(t) for t in theorems.split(",") if t.strip()]
     except ValueError:
         raise click.UsageError(f"--theorems: cannot parse {theorems!r}")
-    bad = [t for t in wanted if t not in (11, 12, 15, 16)]
+    bad = [t for t in wanted if t not in THEOREMS]
     if bad or not wanted:
-        raise click.UsageError("--theorems must name theorems among 11,12,15,16")
+        raise click.UsageError(f"--theorems must name theorems among {_THEOREM_LIST}")
     system = _resolve_system(system_ref)
     verdicts = [verify_theorem(t, system, k) for t in wanted]
     for v in verdicts:
@@ -192,7 +193,7 @@ def verify_theorems(system_ref, theorems, k, json_path):
 
 
 @main.command()
-@click.option("--problem", required=True, type=click.Choice(["9", "10"]))
+@click.option("--problem", required=True, type=click.Choice([str(p) for p in PROBLEMS]))
 @click.option("--n", "size", required=True, type=int, help="ground-set size per system")
 @click.option("--systems", "count", type=int, default=5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -200,8 +201,7 @@ def verify_theorems(system_ref, theorems, k, json_path):
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def hunt(problem, size, count, seed, kmax, json_path):
     """Hunt a seeded random corpus for open-question counterexamples."""
-    if count < 1:
-        raise click.UsageError("--systems must be at least 1")
+    check_int(count, "--systems", 1)
     corpus = HuntCorpus(sizes=(size,) * count, base_seed=seed, kmax=kmax)
     verdict = run_hunt(int(problem), corpus, SearchBudget())
     click.echo(

@@ -11,6 +11,8 @@ iff element i is in the subset).  Five constructions are supported:
 
 The three boundary kinds are symmetric submodular by construction (each is a
 sum of indicator cuts); explicit tables are verified before they are accepted.
+f is computed in one place, ``evaluate_many``; ``evaluate`` reads the value
+table, built by it on first read up to n = 16, and beyond sends its one mask.
 Systems are immutable after construction apart from the ``verified`` flag and
 internal caches (the value table, the per-k contexts of ``separations`` and
 the result of ``duality.branch_width``), so they are safe to share between
@@ -29,6 +31,8 @@ from .exceptions import FunctionAxiomError, GroundSetLimitError
 
 # 2**n table entries; beyond this nothing in the toolkit is tractable anyway
 EXPLICIT_TABLE_LIMIT = 24
+# enumerating all 2**n separations, or building the table for one f, is cheap
+ENUMERATION_LIMIT = 16
 # exhaustive verification walks all 4**n subset pairs
 EXHAUSTIVE_VERIFY_LIMIT = 12
 # cheap seeded spot check applied when structured kinds are built
@@ -56,6 +60,15 @@ CHECK_NAMES = (
     CHECK_EMPTY_SET_MINIMUM,
     CHECK_POSIMODULARITY,
 )
+
+
+def check_int(value, name: str, minimum: int = 0) -> int:
+    """``value`` if it is an int at or above ``minimum``; as in the loader, an
+    integer parameter is never a float or a bool (1.0 and True are no 1)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        bound = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return value
 
 
 class ConnectivitySystem:
@@ -98,21 +111,15 @@ class ConnectivitySystem:
         )
 
     def evaluate(self, mask: int) -> int:
-        """Return f(A) for the subset encoded by ``mask``."""
+        """Return f(A) for the subset encoded by ``mask``, read from the table."""
         if mask < 0 or mask > self.full_mask:
             raise self._out_of_range(mask)
-        if self._table is not None:
-            return int(self._table[mask])
-        if self.kind == "min_cardinality":
-            c = mask.bit_count()
-            return min(c, self.n - c)
-        # boundary kinds: count crossing units split by the mask
-        total = 0
-        for unit in self._cross_masks:
-            hit = mask & unit
-            if hit and hit != unit:
-                total += 1
-        return total
+        table = self._table
+        if table is None:
+            if self.n > ENUMERATION_LIMIT:
+                return int(self.evaluate_many(np.array([mask]))[0])
+            table = self.table()
+        return int(table[mask])
 
     def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
         """f at every mask of an integer array, as an int64 array of its shape.
@@ -312,9 +319,8 @@ def verify_axioms(
             )
         return _verify_exhaustive(system)
     if mode == "sampled":
-        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-            # a run that draws no pair would report a pass having examined nothing
-            raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+        # a run that draws no pair would report a pass having examined nothing
+        check_int(samples, "samples", 1)
         return _verify_sampled(system, samples, seed)
     raise ValueError(f"unknown verification mode {mode!r}")
 
@@ -324,9 +330,7 @@ def verify_axioms(
 
 
 def _check_n(n, kind: str) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"{kind}: ground set size must be an integer")
-    if n < 1 or n > EXPLICIT_TABLE_LIMIT:
+    if check_int(n, f"{kind}: ground set size", 1) > EXPLICIT_TABLE_LIMIT:
         raise ValueError(
             f"{kind}: ground set size {n} outside supported range "
             f"1..{EXPLICIT_TABLE_LIMIT}"
@@ -483,39 +487,25 @@ def build_system(descriptor: dict, *, name: str | None = None) -> ConnectivitySy
     if missing:
         raise ValueError(f"{kind} descriptor is missing fields: {sorted(missing)}")
     if kind == "explicit":
+        n = _check_n(descriptor["n"], kind)
         values = descriptor["values"]
-        n = descriptor["n"]
-        _check_n(n, kind)
         if not isinstance(values, (list, tuple)) or len(values) != 1 << n:
             raise ValueError(
                 f"explicit values must be a list of length {1 << n} for n={n}"
             )
         return explicit_system(values, name=name)
-    if kind == "graph_cut":
-        return graph_cut_system(descriptor["vertices"], descriptor["edges"], name=name)
-    if kind == "graph_boundary":
-        return graph_boundary_system(
-            descriptor["vertices"], descriptor["edges"], name=name
-        )
-    if kind == "hyperedge_boundary":
-        return hyperedge_system(descriptor["n"], descriptor["hyperedges"], name=name)
-    return min_cardinality_system(descriptor["n"], name=name)
+    # each of these builders takes its kind's fields in SYSTEM_FIELDS order
+    build = {"graph_cut": graph_cut_system, "graph_boundary": graph_boundary_system,
+             "hyperedge_boundary": hyperedge_system, "min_cardinality": min_cardinality_system}
+    return build[kind](*(descriptor[f] for f in SYSTEM_FIELDS[kind]), name=name)
 
 
 def system_descriptor(system: ConnectivitySystem) -> dict:
     """The JSON-shaped payload that rebuilds this system via build_system."""
-    if system.kind == "explicit":
-        return {"kind": "explicit", "n": system.n, "values": list(system.values)}
-    if system.kind in ("graph_cut", "graph_boundary"):
-        return {
-            "kind": system.kind,
-            "vertices": list(system.vertices),
-            "edges": [list(e) for e in system.edges],
-        }
-    if system.kind == "hyperedge_boundary":
-        return {
-            "kind": "hyperedge_boundary",
-            "n": system.n,
-            "hyperedges": [list(h) for h in system.hyperedges],
-        }
-    return {"kind": "min_cardinality", "n": system.n}
+    out = {"kind": system.kind}
+    for field in SYSTEM_FIELDS[system.kind]:
+        value = getattr(system, field)  # attributes carry the field names
+        if isinstance(value, tuple):  # a list, as JSON holds it; edges too
+            value = [list(v) if isinstance(v, tuple) else v for v in value]
+        out[field] = value
+    return out

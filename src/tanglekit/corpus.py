@@ -6,6 +6,7 @@ import random
 
 from .connectivity import (
     ConnectivitySystem,
+    check_int,
     graph_boundary_system,
     hyperedge_system,
     min_cardinality_system,
@@ -67,12 +68,9 @@ def random_hyperedge_system(
     many distinct elements of {0..n-1}.  The result is symmetric submodular by
     construction, so no rejection sampling is needed.
     """
-    if n < 1:
-        raise ValueError("ground set must be non-empty")
-    if hyperedge_count < 0:
-        raise ValueError("hyperedge count must be non-negative")
-    if max_arity < 2:
-        raise ValueError("max arity must be at least 2")
+    check_int(n, "n", 1)
+    check_int(hyperedge_count, "hyperedge count")
+    check_int(max_arity, "max arity", 2)
     if hyperedge_count > 0 and max_arity > n:
         raise ValueError(f"max arity {max_arity} exceeds ground set size {n}")
     rng = random.Random(seed)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import ConnectivitySystem
+from .connectivity import ConnectivitySystem, check_int
 from .exceptions import GroundSetLimitError, SearchBudgetError
 from .separations import SeparationFamily
 from .search import SearchBudget, enumerate_all, find_one, unmatched_duals
@@ -205,6 +205,7 @@ _EXISTENCE_KINDS = {
         StructureKind.SINGLE_ULTRAFILTER,
     ),
 }
+THEOREMS = (*_BIJECTION_SIDES, *_EXISTENCE_KINDS)
 
 
 def _enumerate_or_raise(kind, system, k, budget, variant="corrected"):
@@ -230,6 +231,8 @@ def verify_theorem(
     15: a non-principal profile exists iff a tangle exists iff an
     ultrafilter exists.  16: the linear analogue of 15.
     """
+    if check_int(theorem, "theorem") not in THEOREMS:
+        raise ValueError(f"theorem must be one of {', '.join(map(str, THEOREMS))}")
     budget = budget or SearchBudget()
     if theorem in _BIJECTION_SIDES:
         left_kind, right_kind = _BIJECTION_SIDES[theorem]
@@ -243,24 +246,22 @@ def verify_theorem(
             theorem, system.describe(), k,
             not unmatched, counts, tuple(unmatched), None,
         )
-    if theorem in _EXISTENCE_KINDS:
-        kinds = _EXISTENCE_KINDS[theorem]
-        counts = {
-            kind.value: len(_enumerate_or_raise(kind, system, k, budget))
-            for kind in kinds
-        }
-        profile_kind = kinds[0]
-        counts[profile_kind.value + "_literal"] = len(
-            _enumerate_or_raise(profile_kind, system, k, budget, "literal")
-        )
-        bits = {counts[kind.value] > 0 for kind in kinds}
-        bw = None
-        if system.n <= TREE_ENUMERATION_LIMIT:
-            bw = branch_width(system)[0]
-        return EquivalenceVerdict(
-            theorem, system.describe(), k, len(bits) == 1, counts, (), bw,
-        )
-    raise ValueError("theorem must be one of 11, 12, 15, 16")
+    kinds = _EXISTENCE_KINDS[theorem]
+    counts = {
+        kind.value: len(_enumerate_or_raise(kind, system, k, budget))
+        for kind in kinds
+    }
+    profile_kind = kinds[0]
+    counts[profile_kind.value + "_literal"] = len(
+        _enumerate_or_raise(profile_kind, system, k, budget, "literal")
+    )
+    bits = {counts[kind.value] > 0 for kind in kinds}
+    bw = None
+    if system.n <= TREE_ENUMERATION_LIMIT:
+        bw = branch_width(system)[0]
+    return EquivalenceVerdict(
+        theorem, system.describe(), k, len(bits) == 1, counts, (), bw,
+    )
 
 
 @dataclass(frozen=True)
@@ -299,8 +300,8 @@ def verify_branchwidth_duality(
         raise GroundSetLimitError(
             "verify_branchwidth_duality", n, DUALITY_CHECK_LIMIT
         )
-    if kmax is not None and kmax < 0:
-        raise ValueError("kmax must be non-negative")
+    if kmax is not None:
+        check_int(kmax, "kmax")
     budget = budget or SearchBudget()
     bw = branch_width(system)[0]
     top = system.max_order()

@@ -49,11 +49,11 @@ from pathlib import Path
 from .connectivity import (
     SYSTEM_FIELDS, SYSTEM_KINDS, ConnectivitySystem, build_system, system_descriptor,
 )
-from .duality import BranchDecomposition, DualityReport, EquivalenceVerdict
+from .duality import THEOREMS, BranchDecomposition, DualityReport, EquivalenceVerdict
 from .exceptions import SchemaError
-from .search import HUNT_BUDGET, HUNT_FOUND, HUNT_NONE_FOUND, HuntVerdict
+from .search import HUNT_BUDGET, HUNT_FOUND, HUNT_NONE_FOUND, PROBLEMS, HuntVerdict
 from .separations import SeparationFamily, mask_elements
-from .structures import AxiomId, StructureKind, StructureReport
+from .structures import VARIANTS, AxiomId, StructureKind, StructureReport
 
 _AXIOM_VALUES = tuple(a.value for a in AxiomId)
 _KIND_VALUES = tuple(k.value for k in StructureKind)
@@ -278,16 +278,16 @@ _PER_K_ENTRY = {"k": _nat, "tangle_exists": _bool, "matches": _bool}
 _SHAPES = {
     "axioms": ("structure report", {
         "kind": _one_of(*_KIND_VALUES), "k": _nat,
-        "variant": _one_of("literal", "corrected"),
+        "variant": _one_of(*VARIANTS),
         "axioms": _entries(_AXIOM_ENTRY), "pass": _bool,
     }),
     "theorem": ("equivalence verdict", {
-        "theorem": _one_of(11, 12, 15, 16, base=_int), "system": _str,
+        "theorem": _one_of(*THEOREMS, base=_int), "system": _str,
         "k": _nat, "pass": _bool, "counts": _counts,
         "unmatched": _entries(_UNMATCHED_ENTRY), "bw": _optional(_nat),
     }),
     "problem": ("hunt verdict", {
-        "problem": _one_of(9, 10, base=_int), "corpus": _obj,
+        "problem": _one_of(*PROBLEMS, base=_int), "corpus": _obj,
         "systems_examined": _nat, "structures_examined": _nat,
         "counterexamples": _entries(_COUNTEREXAMPLE),
         "status": _one_of(HUNT_NONE_FOUND, HUNT_FOUND, HUNT_BUDGET),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .connectivity import ConnectivitySystem
+from .connectivity import ConnectivitySystem, check_int
 from .corpus import random_hyperedge_system
 from .exceptions import SearchBudgetError
 from .separations import SeparationFamily, efficient_context
@@ -43,6 +43,7 @@ STATUS_BUDGET = "budget_exhausted"
 HUNT_NONE_FOUND = "no_counterexample_found"
 HUNT_FOUND = "counterexample_found"
 HUNT_BUDGET = "budget_exhausted"
+PROBLEMS = (9, 10)  # the open questions ``hunt`` targets
 
 
 @dataclass(frozen=True)
@@ -319,10 +320,9 @@ def enumerate_all(
     kind = StructureKind(kind)
     if kind not in ORIENTATION_KINDS:
         raise ValueError(f"{kind.value} is not searchable by orientation")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be at least 1")
+    check_int(k, "k")
+    if limit is not None:
+        check_int(limit, "limit", 1)
     budget = budget or SearchBudget()
     return _Searcher(system, k, kind, variant, budget, prune, limit).run()
 
@@ -440,11 +440,11 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
 
     Identical corpus and budget give an identical verdict.
     """
-    if problem not in (9, 10):
-        raise ValueError("problem must be 9 or 10")
+    if check_int(problem, "problem") not in PROBLEMS:
+        raise ValueError(f"problem must be {' or '.join(map(str, PROBLEMS))}")
     kmax = corpus.kmax
-    if kmax is not None and kmax < 0:
-        raise ValueError("kmax must be non-negative")
+    if kmax is not None:
+        check_int(kmax, "kmax")
     budget = budget or SearchBudget()
     systems = corpus.systems()
     counterexamples = []

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import ConnectivitySystem
+from .connectivity import ENUMERATION_LIMIT, ConnectivitySystem, check_int
 from .exceptions import GroundSetLimitError
-
-# enumerating all 2**n oriented separations stays cheap up to here
-ENUMERATION_LIMIT = 16
 
 
 def mask_elements(mask: int) -> list[int]:
@@ -92,10 +89,9 @@ def efficient_context(system: ConnectivitySystem, k: int) -> EfficientContext:
     """The context at bound k, built on first use and cached on the system.
 
     The cache is an attribute of the system, so it is freed with the system.
-    Needs k >= 0 and n <= ENUMERATION_LIMIT.
+    Needs an integer k >= 0 and n <= ENUMERATION_LIMIT.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    check_int(k, "k")
     context = system._contexts.get(k)
     if context is None:
         if system.n > ENUMERATION_LIMIT:
@@ -140,16 +136,14 @@ class SeparationFamily:
 
     @classmethod
     def from_masks(cls, system: ConnectivitySystem, k: int, masks) -> "SeparationFamily":
+        check_int(k, "k")
         masks = list(masks)
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate members in separation family")
         masks.sort()
         full = system.full_mask
         if masks and (masks[0] < 0 or masks[-1] > full):
-            m = next(m for m in masks if m < 0 or m > full)
-            raise ValueError(
-                f"mask {m:#x} has bits outside the ground set of size {system.n}"
-            )
+            raise system._out_of_range(next(m for m in masks if m < 0 or m > full))
         return cls(system, k, tuple(masks))
 
     @property

@@ -66,10 +66,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, lru_cache
 
-from .connectivity import ConnectivitySystem
+from .connectivity import ENUMERATION_LIMIT, ConnectivitySystem, check_int
 from .exceptions import FilterBaseError
 from .separations import (
-    ENUMERATION_LIMIT,
     EfficientContext,
     Separation,
     SeparationFamily,
@@ -415,7 +414,8 @@ def _check_below(axiom, ctx, flip):
     # P2: k-efficient sets below a member are members; F4 reads it through
     # reversal, so k-efficient sets above a member are members
     below, above = (_up, _down) if flip else (_down, _up)
-    missing = below(ctx.bits, ctx.n) & ctx.eff.bits & ~ctx.bits
+    # the context first: past the cap it raises before a closure is built
+    missing = ctx.eff.bits & below(ctx.bits, ctx.n) & ~ctx.bits
     if not missing:
         return _ok(axiom)
     a = _lowest(ctx.bits & above(missing, ctx.n))
@@ -512,8 +512,7 @@ _CHECKS = {
 def _validate(system, k, family):
     if family.system is not system:
         raise ValueError("family belongs to a different system")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    check_int(k, "k")
 
 
 def check_axiom(
@@ -570,6 +569,7 @@ def check_filter_base_generates(
             raise FilterBaseError(
                 f"family is not a filter base: {axiom.value} fails", result
             )
+    efficient = ctx.eff.masks  # past the cap this raises before the closure
     above = _up(ctx.bits, system.n)
-    closure = [c for c in ctx.eff.masks if above >> c & 1]
+    closure = [c for c in efficient if above >> c & 1]
     return SeparationFamily.from_masks(system, k, closure)

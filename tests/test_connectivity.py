@@ -255,6 +255,49 @@ class TestEvaluateMany:
                         s.evaluate_many(np.array(bad))
 
 
+def _oracle_systems():
+    """(system, oracle f over frozensets) for each structured kind, at n <= 16
+    and past the enumeration cap, where ``evaluate`` builds no table."""
+    rng = random.Random(11)
+    out = []
+    for n in (6, 17):
+        cut_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        out.append((
+            graph_cut_system([str(v) for v in range(n)],
+                             [(str(u), str(v)) for u, v in cut_edges]),
+            oracle.graph_cut_fn(n, cut_edges),
+        ))
+        # a cycle on the edges' vertices plus chords: n edges in all
+        m = n // 2 + 1
+        edges = [(f"v{i}", f"v{(i + 1) % m}") for i in range(m)]
+        edges += [(f"v{i}", f"v{(i + 2) % m}") for i in range(n - m)]
+        out.append((graph_boundary_system([f"v{i}" for i in range(m)], edges),
+                    oracle.graph_edge_boundary_fn(edges)))
+        hyper = random_hyperedge_system(n, n, 3, seed=n)
+        out.append((hyper, oracle.split_count_fn([frozenset(h) for h in hyper.hyperedges])))
+        out.append((min_cardinality_system(n + 3), oracle.min_cardinality_fn(n + 3)))
+    return out
+
+
+class TestEvaluateMatchesOracle:
+    def test_every_structured_kind_on_fresh_systems(self):
+        """``evaluate`` reads f through the table below the cap and through
+        ``evaluate_many`` beyond it; both must equal the naive definitions."""
+        systems = _oracle_systems()
+        assert {s.kind for s, _ in systems} == set(SYSTEM_KINDS) - {"explicit"}
+        assert {s.kind for s, _ in systems if s.n > 16} == {s.kind for s, _ in systems}
+        for s, f in systems:
+            assert s._table is None
+            masks = range(1 << s.n) if s.n <= 16 else random.Random(s.n).sample(
+                range(1 << s.n), 2000
+            )
+            for mask in masks:
+                side = frozenset(e for e in range(s.n) if mask >> e & 1)
+                assert s.evaluate(mask) == f(side), (s, mask)
+            # the first read builds the table below the cap, and none beyond
+            assert (s._table is None) == (s.n > 16), s
+
+
 class TestSampledVerifier:
     @pytest.mark.parametrize("samples", [0, -3, True, 2.5, "10"])
     def test_runs_that_examine_nothing_are_rejected(self, min3, samples):

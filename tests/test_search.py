@@ -292,6 +292,36 @@ class TestEnumerateAll:
             enumerate_all("monoid", min3, 0)
 
 
+class TestRestrictionLemma:
+    def test_restricting_a_family_to_order_k_gives_a_family_at_k(self):
+        """Each axiom is "order <= k implies member" or a ban on members, so a
+        family at k + 1 cut down to its members of order <= k is one at k.
+
+        Every orientation kind and variant on the whole corpus (the builtins,
+        min_card2 to min_card5 and the hyperedge systems), at every k below
+        the maximum order.
+        """
+        checked = 0
+        for system in standard_corpus():
+            top = system.max_order()
+            for kind in ORIENTATION_KINDS:
+                for variant in (
+                    ("corrected", "literal") if kind in PROFILE_KINDS else ("corrected",)
+                ):
+                    levels = [
+                        {f.member_masks for f in enumerate_all(kind, system, k, variant=variant)}
+                        for k in range(top + 1)
+                    ]
+                    for k in range(top):
+                        for masks in levels[k + 1]:
+                            restricted = tuple(m for m in masks if system.evaluate(m) <= k)
+                            assert restricted in levels[k], (
+                                system.name, kind.value, variant, k, masks,
+                            )
+                            checked += 1
+        assert checked == 24_257  # the pinned corpus families at k >= 1
+
+
 class TestFindOne:
     def test_finds_the_minimal_tangle(self, min3):
         fam = find_one("tangle", min3, 0)

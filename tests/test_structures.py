@@ -241,6 +241,27 @@ class TestSingleAxioms:
         assert [s.first for s in res.witness] == [3]
         assert check_axiom(big, 1, family(big, 1, [0, 1, 1 << 16]), A.P0).passed
 
+    def test_past_the_cap_the_context_raises_before_a_closure(self, monkeypatch):
+        # P2, F4 and the filter-base closure read the context before they
+        # shift-and-OR, so no per-n closure table is built for a size they refuse
+        from tanglekit import structures
+
+        sizes = []
+        containing = structures._containing
+
+        def counted(n):
+            sizes.append(n)
+            return containing(n)
+
+        monkeypatch.setattr(structures, "_containing", counted)
+        big = min_cardinality_system(17)
+        for ax in (A.P2, A.F4):
+            with pytest.raises(GroundSetLimitError):
+                check_axiom(big, 1, family(big, 1, [1, big.full_mask ^ 1]), ax)
+        with pytest.raises(GroundSetLimitError):
+            check_filter_base_generates(big, 1, family(big, 1, [0]))
+        assert sizes == []
+
 
 class TestCheckStructure:
     def test_minimal_tangle(self, min3):
