@@ -41,8 +41,23 @@ KERNEL_TESTS = (
 WRITER_TESTS = ("tests/test_io.py::TestByteFormat", "tests/test_io.py::TestWriter")
 GC_TESTS = ("tests/test_io.py::TestGcState",)
 # the rules' soundness mutants drop valid families, which the leaf re-check
-# cannot see; the oracle sweeps and the corpus family pin must
-RULE_TESTS = ("tests/test_search.py::TestEnumerateAll",)
+# cannot see; the oracle sweeps and the corpus family pin must.  The node-count
+# pin is left out, so an edit that only weakens pruning survives
+RULE_TESTS = tuple(
+    f"tests/test_search.py::TestEnumerateAll::{test}"
+    for test in (
+        "test_matches_oracle_sweep",
+        "test_pruning_changes_nothing",
+        "test_corpus_families_match_the_pin",
+    )
+)
+# the scan checkers: the oracle sweeps, the 25,400-result pin and the
+# single-axiom cases
+CHECKER_TESTS = (
+    "tests/test_structures.py::TestOracleSweeps",
+    "tests/test_structures.py::TestPinnedResults",
+    "tests/test_structures.py::TestSingleAxioms",
+)
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,48 @@ MUTANTS = (
         "if self.n <= ENUMERATION_LIMIT:\n            return mask in",
         "if False:\n            return mask in",
         ("tests/test_structures.py::TestKernelReadsNoScalarOrder",),
+    ),
+    Mutant(
+        "cover-skips-a-repeated-third-member", STRUCTURES,
+        "for l in range(j, len(ms)):",
+        "for l in range(j + 1, len(ms)):",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "join-check-takes-the-meet", STRUCTURES,
+        "join = (a1 | ms[j]) ^ flip",
+        "join = (a1 & ms[j]) ^ flip",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "sf5-adds-the-element", STRUCTURES,
+        "shrunk = a & ~(1 << e)",
+        "shrunk = a | (1 << e)",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "meet-ban-takes-the-join", STRUCTURES,
+        "banned = a1 & a2",
+        "banned = a1 | a2",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "deletion-ban-without-reversal", STRUCTURES,
+        "banned = (a ^ flip) & ~(1 << e)",
+        "banned = a & ~(1 << e)",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "lt3-without-the-element", STRUCTURES,
+        "if a12 | bit == ctx.full:",
+        "if a12 == ctx.full:",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "fb2-lower-bound-above-the-meet", STRUCTURES,
+        "a3 & ~meet == 0",
+        "meet & ~a3 == 0",
+        CHECKER_TESTS,
     ),
     Mutant(
         "int-list-separator-without-comma", IO,
