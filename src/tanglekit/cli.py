@@ -29,7 +29,7 @@ from .search import (
     enumerate_all,
     hunt as run_hunt,
 )
-from .separations import SeparationFamily, mask_elements
+from .separations import SeparationFamily, make_separation, mask_elements
 from .structures import VARIANTS, StructureKind, check_structure
 
 _KIND_CHOICE = click.Choice([k.value for k in StructureKind])
@@ -90,7 +90,7 @@ def check(system_ref, family_path, kind, k_override, variant, json_path):
     for r in report.results:
         line = f"  {r.axiom.value:<14} {'pass' if r.passed else 'FAIL'}"
         if not r.passed and r.witness:
-            line += "  witness " + ", ".join(repr(s) for s in r.witness)
+            line += "  witness " + ", ".join(repr(make_separation(system, m)) for m in r.witness)
         if r.element is not None:
             line += f"  element {r.element}"
         click.echo(line)

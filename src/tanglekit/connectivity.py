@@ -365,10 +365,7 @@ def explicit_system(values, *, name: str | None = None) -> ConnectivitySystem:
         raise ValueError(f"explicit table length {size} is not a power of two >= 2")
     _check_n(n, "explicit")
     for i, v in enumerate(values):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(
-                f"explicit table entry {i} is {v!r}, expected a non-negative integer"
-            )
+        check_int(v, f"explicit table entry {i}")
     system = ConnectivitySystem(n, "explicit", name=name, values=values)
     if n <= EXHAUSTIVE_VERIFY_LIMIT:
         report = _verify_exhaustive(system)
@@ -453,7 +450,7 @@ def hyperedge_system(n: int, hyperedges, *, name: str | None = None) -> Connecti
         seen = set()
         m = 0
         for v in members:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            if check_int(v, f"hyperedge {h!r} element") >= n:
                 raise ValueError(f"hyperedge {h!r} has element {v!r} outside 0..{n - 1}")
             if v in seen:
                 raise ValueError(f"hyperedge {h!r} repeats element {v}")

@@ -341,7 +341,7 @@ def to_document(obj) -> dict:
     if isinstance(obj, StructureReport):
         axioms = [
             _fill(_AXIOM_ENTRY, r.axiom.value, r.passed,
-                  _side_lists(s.first for s in r.witness), r.element)
+                  _side_lists(r.witness), r.element)
             for r in obj.results
         ]
         return _document("axioms", obj.kind.value, obj.k, obj.variant, axioms, obj.passed)
@@ -356,7 +356,7 @@ def to_document(obj) -> dict:
         counterexamples = [
             _fill(_COUNTEREXAMPLE, system_descriptor(c.system), c.k, c.claim,
                   _side_lists(c.family.member_masks), c.failing_axiom.value,
-                  _side_lists(s.first for s in c.witness))
+                  _side_lists(c.witness))
             for c in obj.counterexamples
         ]
         return _document("problem", obj.problem, obj.corpus, obj.systems_examined,

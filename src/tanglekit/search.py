@@ -410,14 +410,15 @@ class NamedCorpus:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """One refutation, with enough context to re-run the checkers offline."""
+    """One refutation, with enough context to re-run the checkers offline;
+    ``witness`` holds first-side masks, as ``AxiomResult.witness`` does."""
 
     system: ConnectivitySystem
     k: int
     claim: str
     family: SeparationFamily
     failing_axiom: AxiomId
-    witness: tuple = ()
+    witness: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)

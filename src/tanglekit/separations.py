@@ -138,6 +138,9 @@ class SeparationFamily:
     def from_masks(cls, system: ConnectivitySystem, k: int, masks) -> "SeparationFamily":
         check_int(k, "k")
         masks = list(masks)
+        for m in masks:
+            if type(m) is not int:  # 1.0 and True are no masks; -1 reaches the range check
+                check_int(m, "mask")
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate members in separation family")
         masks.sort()

@@ -68,13 +68,7 @@ from functools import cache, cached_property, lru_cache
 
 from .connectivity import ENUMERATION_LIMIT, ConnectivitySystem, check_int
 from .exceptions import FilterBaseError
-from .separations import (
-    EfficientContext,
-    Separation,
-    SeparationFamily,
-    efficient_context,
-    make_separation,
-)
+from .separations import EfficientContext, SeparationFamily, efficient_context
 
 VARIANTS = ("literal", "corrected")
 
@@ -188,9 +182,12 @@ def _resolve(kind, variant):
 
 @dataclass(frozen=True)
 class AxiomResult:
+    """One axiom's verdict; ``witness`` holds the first-side masks of the
+    first failing instance in scan order (``make_separation`` builds each)."""
+
     axiom: AxiomId
     passed: bool
-    witness: tuple[Separation, ...] = ()
+    witness: tuple[int, ...] = ()
     element: int | None = None
 
     def __repr__(self):
@@ -289,17 +286,14 @@ class _Ctx:
             return mask in self.eff.mask_set
         return self.system.evaluate(mask) <= self.k
 
-    def sep(self, mask: int) -> Separation:
-        return make_separation(self.system, mask)
-
 
 @cache  # results are frozen, so one passing result per axiom is shared
 def _ok(axiom):
     return AxiomResult(axiom, True)
 
 
-def _fail(axiom, ctx, masks, element=None):
-    return AxiomResult(axiom, False, tuple(ctx.sep(m) for m in masks), element)
+def _fail(axiom, masks, element=None):
+    return AxiomResult(axiom, False, masks, element)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +308,7 @@ def _check_p0(ctx):
         first = _lowest(high) if high else None
     else:
         first = next((m for m in ctx.masks if ctx.system.evaluate(m) > ctx.k), None)
-    return _ok(AxiomId.P0) if first is None else _fail(AxiomId.P0, ctx, (first,))
+    return _ok(AxiomId.P0) if first is None else _fail(AxiomId.P0, (first,))
 
 
 def _check_orientation(axiom, ctx):
@@ -324,7 +318,7 @@ def _check_orientation(axiom, ctx):
     lower = (1 << (1 << ctx.n - 1)) - 1
     unoriented = ctx.eff.bits & lower & ~(ctx.bits | ctx.reversed_bits)
     if unoriented:
-        return _fail(axiom, ctx, (_lowest(unoriented),))
+        return _fail(axiom, (_lowest(unoriented),))
     return _ok(axiom)
 
 
@@ -332,7 +326,7 @@ def _check_singletons(axiom, ctx, inside):
     # T2 / P4: ({e}, X minus {e}) is a member for each k-efficient e; F3: none is
     for e in ctx.eff.elements:
         if ((1 << e) in ctx.mask_set) is not inside:
-            return _fail(axiom, ctx, (1 << e,), element=e)
+            return _fail(axiom, (1 << e,), element=e)
     return _ok(axiom)
 
 
@@ -344,20 +338,20 @@ def _check_lt3(ctx):
             a12 = a1 | ms[j]
             for e, bit in singles:
                 if a12 | bit == ctx.full:
-                    return _fail(AxiomId.LT3, ctx, (a1, ms[j]), element=e)
+                    return _fail(AxiomId.LT3, (a1, ms[j]), element=e)
     return _ok(AxiomId.LT3)
 
 
 def _check_t4(ctx):
     # diagnostic: (emptyset, X) is a member whenever it is orientable at all
     if ctx.system.evaluate(0) <= ctx.k and 0 not in ctx.mask_set:
-        return _fail(AxiomId.T4, ctx, (0,))
+        return _fail(AxiomId.T4, (0,))
     return _ok(AxiomId.T4)
 
 
 def _check_f2(ctx):
     if 0 in ctx.mask_set:
-        return _fail(AxiomId.F2, ctx, (0,))
+        return _fail(AxiomId.F2, (0,))
     return _ok(AxiomId.F2)
 
 
@@ -366,7 +360,7 @@ def _check_sf5(ctx):
         for e in ctx.eff.elements:
             shrunk = a & ~(1 << e)
             if shrunk not in ctx.mask_set and ctx.within(shrunk):
-                return _fail(AxiomId.SF5, ctx, (a, shrunk), element=e)
+                return _fail(AxiomId.SF5, (a, shrunk), element=e)
     return _ok(AxiomId.SF5)
 
 
@@ -380,7 +374,7 @@ def _check_wf5(ctx):
         return _ok(AxiomId.WF5)
     a = _lowest(apart)  # every member a misses is in ``apart`` too, so above a
     b = _lowest(ctx.bits & _down(1 << (ctx.full ^ a), ctx.n))
-    return _fail(AxiomId.WF5, ctx, (a, b))
+    return _fail(AxiomId.WF5, (a, b))
 
 
 def _check_consistent(ctx):
@@ -388,7 +382,7 @@ def _check_consistent(ctx):
     for a in ctx.masks:
         for d in ctx.masks:
             if (ctx.full ^ d) & ~a == 0:
-                return _fail(AxiomId.CONSISTENT, ctx, (a, d))
+                return _fail(AxiomId.CONSISTENT, (a, d))
     return _ok(AxiomId.CONSISTENT)
 
 
@@ -406,7 +400,7 @@ def _check_cover(axiom, ctx, flip):
             a12 = a1 | ms[j]
             for l in range(j, len(ms)):
                 if a12 | ms[l] == full:
-                    return _fail(axiom, ctx, (a1 ^ flip, ms[j] ^ flip, ms[l] ^ flip))
+                    return _fail(axiom, (a1 ^ flip, ms[j] ^ flip, ms[l] ^ flip))
     return _ok(axiom)
 
 
@@ -419,7 +413,7 @@ def _check_below(axiom, ctx, flip):
     if not missing:
         return _ok(axiom)
     a = _lowest(ctx.bits & above(missing, ctx.n))
-    return _fail(axiom, ctx, (a, _lowest(missing & below(1 << a, ctx.n))))
+    return _fail(axiom, (a, _lowest(missing & below(1 << a, ctx.n))))
 
 
 def _check_join(axiom, ctx, flip):
@@ -430,7 +424,7 @@ def _check_join(axiom, ctx, flip):
         for j in range(i, len(ms)):
             join = (a1 | ms[j]) ^ flip
             if join not in ctx.mask_set and ctx.within(join):
-                return _fail(axiom, ctx, (a1 ^ flip, ms[j] ^ flip, join))
+                return _fail(axiom, (a1 ^ flip, ms[j] ^ flip, join))
     return _ok(axiom)
 
 
@@ -442,7 +436,7 @@ def _check_meet_ban(axiom, ctx, flip):
         for a2 in ms:
             banned = a1 & a2
             if banned in ctx.mask_set:
-                return _fail(axiom, ctx, (a1 ^ flip, a2 ^ flip, banned))
+                return _fail(axiom, (a1 ^ flip, a2 ^ flip, banned))
     return _ok(axiom)
 
 
@@ -453,7 +447,7 @@ def _check_deletion_ban(axiom, ctx, flip):
         for e in ctx.eff.elements:
             banned = (a ^ flip) & ~(1 << e)
             if banned in ctx.mask_set:
-                return _fail(axiom, ctx, (a, banned), element=e)
+                return _fail(axiom, (a, banned), element=e)
     return _ok(axiom)
 
 
@@ -472,7 +466,7 @@ def _check_fb2(ctx):
                 a3 & ~meet == 0 and ctx.within(a3) for a3 in ms
             )
             if not found:
-                return _fail(AxiomId.FB2, ctx, (a1, ms[j]))
+                return _fail(AxiomId.FB2, (a1, ms[j]))
     return _ok(AxiomId.FB2)
 
 

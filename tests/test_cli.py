@@ -46,6 +46,40 @@ class TestCheck:
         assert "result: FAIL" in result.output
         assert "witness" in result.output
 
+    @pytest.mark.parametrize("kind, lines", [
+        ("tangle", [
+            "  P0             pass",
+            "  T1             pass",
+            "  T2             pass",
+            "  T3             FAIL  witness Separation({0}, order=1), "
+            "Separation({1}, order=1), Separation({2}, order=1)",
+            "  T4             pass",
+        ]),
+        ("ultrafilter", [
+            "  P0             pass",
+            "  F1             pass",
+            "  F2             FAIL  witness Separation({}, order=0)",
+            "  F3             FAIL  witness Separation({0}, order=1)  element 0",
+            "  F4             FAIL  witness Separation({}, order=0), "
+            "Separation({0,1}, order=1)",
+            "  F5             pass",
+            "  F6             FAIL  witness Separation({}, order=0), "
+            "Separation({}, order=0), Separation({}, order=0)",
+        ]),
+    ])
+    def test_witness_lines_are_pinned(self, runner, tmp_path, kind, lines):
+        fam = family_file(tmp_path, 1, [[], [0], [1], [2]])
+        result = runner.invoke(main, [
+            "check", "--system", "min3", "--family", fam, "--kind", kind,
+        ])
+        assert result.exit_code == 1
+        assert result.output == "\n".join([
+            f"system min3: kind {kind}, k=1, variant corrected",
+            *lines,
+            "result: FAIL",
+            "",
+        ])
+
     def test_diagnostic_failure_does_not_gate(self, runner, tmp_path):
         fam = family_file(tmp_path, 1, [[0, 1], [0, 2], [1, 2], [0, 1, 2]])
         result = runner.invoke(main, [

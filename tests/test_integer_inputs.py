@@ -14,7 +14,9 @@ from tanglekit import (
     check_filter_base_generates,
     check_structure,
     enumerate_all,
+    explicit_system,
     hunt,
+    hyperedge_system,
     random_hyperedge_system,
     verify_branchwidth_duality,
     verify_theorem,
@@ -32,6 +34,9 @@ def _family(c4):
 ENTRY_POINTS = {
     "efficient_context k": lambda c4, v: efficient_context(c4, v),
     "from_masks k": lambda c4, v: SeparationFamily.from_masks(c4, v, [0]),
+    "from_masks mask": lambda c4, v: SeparationFamily.from_masks(c4, 1, [v]),
+    "explicit_system entry": lambda c4, v: explicit_system([v, v]),
+    "hyperedge_system element": lambda c4, v: hyperedge_system(3, [(0, v)]),
     "check_structure k": lambda c4, v: check_structure(c4, v, _family(c4), "tangle"),
     "check_axiom k": lambda c4, v: check_axiom(c4, v, _family(c4), AxiomId.T1),
     "check_filter_base_generates k": lambda c4, v: check_filter_base_generates(

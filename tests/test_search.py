@@ -367,7 +367,7 @@ class TestHunt:
         assert ce.claim == "weak_ultrafilter_triple_intersection"
         assert (ce.k, ce.failing_axiom) == (1, AxiomId.F6)
         assert ce.family.member_masks == (3, 5, 6, 7)
-        assert tuple(s.first for s in ce.witness) == (3, 5, 6)
+        assert ce.witness == (3, 5, 6)
 
     def test_problem_nine_counterexample_refails_offline(self, min3):
         (ce,) = hunt(9, NamedCorpus((min3,))).counterexamples
@@ -407,7 +407,7 @@ class TestHunt:
         assert ce.claim == "weak_ultrafilter_dual_not_tangle"
         assert ce.family.member_masks == (3, 5, 6, 7)
         assert (ce.k, ce.failing_axiom) == (1, AxiomId.T3)
-        assert tuple(s.first for s in ce.witness) == (1, 2, 4)
+        assert ce.witness == (1, 2, 4)
 
     def test_problem_ten_counterexample_refails_offline(self, min3):
         (ce,) = hunt(10, NamedCorpus((min3,))).counterexamples

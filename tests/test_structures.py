@@ -104,17 +104,17 @@ class TestSingleAxioms:
         # {0} | {1} | {2} = X; the three singleton members are the witness
         res = check_axiom(min3, 1, family(min3, 1, [0, 1, 2, 4]), A.T3)
         assert not res.passed
-        assert tuple(s.first for s in res.witness) == (1, 2, 4)
+        assert res.witness == (1, 2, 4)
 
     def test_empty_side_member_violates_f2(self, min3):
         res = check_axiom(min3, 1, family(min3, 1, [0, 3]), A.F2)
         assert not res.passed
-        assert [s.first for s in res.witness] == [0]
+        assert list(res.witness) == [0]
 
     def test_orientation_pass_and_fail(self, min3):
         assert check_axiom(min3, 0, family(min3, 0, [0]), A.T1).passed
         res = check_axiom(min3, 0, family(min3, 0, []), A.T1)
-        assert not res.passed and res.witness[0].first == 0
+        assert not res.passed and res.witness[0] == 0
 
     def test_orientation_reads_f_at_the_lower_side_only(self):
         # f({1,2}) = 0 but f({0}) = 1: at k = 0 the separation ({1,2}, {0})
@@ -128,31 +128,31 @@ class TestSingleAxioms:
     def test_missing_efficient_singleton(self, min3):
         res = check_axiom(min3, 1, family(min3, 1, [0, 1, 2]), A.T2)
         assert not res.passed
-        assert (res.witness[0].first, res.element) == (4, 2)
+        assert (res.witness[0], res.element) == (4, 2)
 
     def test_member_above_order_bound(self, min3):
         res = check_axiom(min3, 0, family(min3, 0, [1]), A.P0)
-        assert not res.passed and res.witness[0].first == 1
+        assert not res.passed and res.witness[0] == 1
 
     def test_superset_closure_gap(self, min3):
         res = check_axiom(min3, 1, family(min3, 1, [1]), A.F4)
         assert not res.passed
-        assert [s.first for s in res.witness] == [1, 3]
+        assert list(res.witness) == [1, 3]
 
     def test_meet_closure_gap(self, min3):
         res = check_axiom(min3, 1, family(min3, 1, [3, 5]), A.F5)
         assert not res.passed
-        assert [s.first for s in res.witness] == [3, 5, 1]
+        assert list(res.witness) == [3, 5, 1]
 
     def test_empty_triple_intersection(self, min3):
         res = check_axiom(min3, 1, family(min3, 1, [3, 5, 6, 7]), A.F6)
         assert not res.passed
-        assert [s.first for s in res.witness] == [3, 5, 6]
+        assert list(res.witness) == [3, 5, 6]
 
     def test_disjoint_members_break_wf5(self, min3):
         res = check_axiom(min3, 1, family(min3, 1, [1, 2]), A.WF5)
         assert not res.passed
-        assert [s.first for s in res.witness] == [1, 2]
+        assert list(res.witness) == [1, 2]
         # but the same pair is fine when their meet cannot have order <= k
         assert check_axiom(min3, 1, family(min3, 1, [3, 5, 6, 7]), A.WF5).passed
 
@@ -162,18 +162,18 @@ class TestSingleAxioms:
         lifted = explicit_system([1, 1, 1, 1])
         assert check_axiom(lifted, 0, family(lifted, 0, [1, 2]), A.WF5).passed
         res = check_axiom(lifted, 1, family(lifted, 1, [1, 2]), A.WF5)
-        assert [s.first for s in res.witness] == [1, 2]
+        assert list(res.witness) == [1, 2]
 
     def test_deletion_closure_gap(self, min3):
         res = check_axiom(min3, 1, family(min3, 1, [3]), A.SF5)
         assert not res.passed
-        assert ([s.first for s in res.witness], res.element) == ([3, 2], 0)
+        assert (list(res.witness), res.element) == ([3, 2], 0)
 
     def test_consistency(self, min3):
         # a member whose reverse sits below another member
         res = check_axiom(min3, 1, family(min3, 1, [1, 6]), A.CONSISTENT)
         assert not res.passed
-        assert [s.first for s in res.witness] == [1, 6]
+        assert list(res.witness) == [1, 6]
         # (X, emptyset) is below its own reverse, so it is self-inconsistent
         assert not check_axiom(min3, 0, family(min3, 0, [7]), A.CONSISTENT).passed
         assert check_axiom(min3, 1, family(min3, 1, [1, 3]), A.CONSISTENT).passed
@@ -183,7 +183,7 @@ class TestSingleAxioms:
         # excluded separation A itself
         res = check_axiom(min3, 1, family(min3, 1, [3]), A.P3A_LITERAL)
         assert not res.passed
-        assert [s.first for s in res.witness] == [3, 3, 3]
+        assert list(res.witness) == [3, 3, 3]
         assert check_axiom(min3, 1, family(min3, 1, []), A.P3A_LITERAL).passed
 
     def test_corrected_meet_exclusion(self, min3):
@@ -191,13 +191,13 @@ class TestSingleAxioms:
         res = check_axiom(min3, 1, family(min3, 1, [3, 4]), A.P3A_CORRECTED)
         # with A1 = A2 = {0,1}, the excluded side is {2}, which is a member
         assert not res.passed
-        assert [s.first for s in res.witness] == [3, 3, 4]
+        assert list(res.witness) == [3, 3, 4]
 
     def test_literal_deletion_exclusion(self, min3):
         # e outside A leaves A unchanged, so A excludes itself
         res = check_axiom(min3, 1, family(min3, 1, [2]), A.SP3_LITERAL)
         assert not res.passed
-        assert ([s.first for s in res.witness], res.element) == ([2, 2], 0)
+        assert (list(res.witness), res.element) == ([2, 2], 0)
         # every element lies inside X, so (X, emptyset) alone survives
         assert check_axiom(min3, 1, family(min3, 1, [7]), A.SP3_LITERAL).passed
 
@@ -205,14 +205,14 @@ class TestSingleAxioms:
         res = check_axiom(min3, 1, family(min3, 1, [2, 4]), A.SP3_CORRECTED)
         # member {1}, element 0: the excluded side is {2}, also a member
         assert not res.passed
-        assert ([s.first for s in res.witness], res.element) == ([2, 4], 0)
+        assert (list(res.witness), res.element) == ([2, 4], 0)
         assert check_axiom(min3, 1, family(min3, 1, [2, 6]), A.SP3_CORRECTED).passed
 
     def test_filter_base_axioms(self, min3):
         assert not check_axiom(min3, 1, family(min3, 1, []), A.FB1).passed
         res = check_axiom(min3, 1, family(min3, 1, [1, 2]), A.FB2)
         assert not res.passed
-        assert [s.first for s in res.witness] == [1, 2]
+        assert list(res.witness) == [1, 2]
         assert check_axiom(min3, 1, family(min3, 1, [1, 3]), A.FB2).passed
 
     def test_axiom_accepts_string_id(self, min3):
@@ -238,7 +238,7 @@ class TestSingleAxioms:
         big = min_cardinality_system(17)
         res = check_axiom(big, 1, family(big, 1, [0, 1, 3, 6, big.full_mask]), A.P0)
         assert not res.passed
-        assert [s.first for s in res.witness] == [3]
+        assert list(res.witness) == [3]
         assert check_axiom(big, 1, family(big, 1, [0, 1, 1 << 16]), A.P0).passed
 
     def test_past_the_cap_the_context_raises_before_a_closure(self, monkeypatch):
@@ -417,7 +417,7 @@ class TestOracleSweeps:
 def witness_refails(system, k, masks, res):
     """Re-evaluate the failed clause on the reported witness instance."""
     ms, full = set(masks), system.full_mask
-    w = [s.first for s in res.witness]
+    w = list(res.witness)
     e = res.element
     ax = res.axiom
     if ax is A.P0:
@@ -562,8 +562,7 @@ class TestPinnedResults:
                     fam = family(system, k, masks)
                     for ax in A:
                         res = check_axiom(system, k, fam, ax)
-                        firsts = tuple(w.first for w in res.witness)
-                        entry = (res.axiom.value, res.passed, firsts, res.element)
+                        entry = (res.axiom.value, res.passed, res.witness, res.element)
                         digest.update(repr(entry).encode())
                         checks += 1
         assert checks == 25_400
@@ -590,7 +589,7 @@ class TestFilterBaseClosure:
         with pytest.raises(FilterBaseError) as err:
             check_filter_base_generates(min3, 1, family(min3, 1, [1, 2]))
         assert err.value.result.axiom is A.FB2
-        assert [s.first for s in err.value.result.witness] == [1, 2]
+        assert list(err.value.result.witness) == [1, 2]
 
     @pytest.mark.parametrize("sysname,k", [("min3", 1), ("c4", 2), ("c4", 4)])
     def test_closure_matches_oracle(self, request, sysname, k):
@@ -645,7 +644,7 @@ KERNEL_KINDS = {
 
 
 def _entry(res):
-    return (res.axiom.value, res.passed, tuple(w.first for w in res.witness), res.element)
+    return (res.axiom.value, res.passed, res.witness, res.element)
 
 
 def random_family_masks(system, k, rng):

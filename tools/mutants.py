@@ -33,6 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 STRUCTURES = "src/tanglekit/structures.py"
 IO = "src/tanglekit/io.py"
 SEARCH = "src/tanglekit/search.py"
+CONNECTIVITY = "src/tanglekit/connectivity.py"
+SEPARATIONS = "src/tanglekit/separations.py"
 KERNEL_TESTS = (
     "tests/test_structures.py::TestKernelMatchesScans",
     "tests/test_structures.py::TestPinnedResults",
@@ -40,6 +42,7 @@ KERNEL_TESTS = (
 )
 WRITER_TESTS = ("tests/test_io.py::TestByteFormat", "tests/test_io.py::TestWriter")
 GC_TESTS = ("tests/test_io.py::TestGcState",)
+INTEGER_TESTS = ("tests/test_integer_inputs.py",)
 # the rules' soundness mutants drop valid families, which the leaf re-check
 # cannot see; the oracle sweeps and the corpus family pin must.  The node-count
 # pin is left out, so an edit that only weakens pruning survives
@@ -261,6 +264,62 @@ MUTANTS = (
         "out += [self.full ^ bit for bit in self.eff_bits]  # F3",
         "out += self.eff_bits  # F3",
         RULE_TESTS,
+    ),
+    Mutant(
+        "fail-sorts-its-witness", STRUCTURES,
+        "return AxiomResult(axiom, False, masks, element)",
+        "return AxiomResult(axiom, False, tuple(sorted(masks)), element)",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "counterexample-witness-from-family-sides", IO,
+        "_side_lists(c.witness))",
+        "_side_lists(c.family.member_masks))",
+        ("tests/test_io.py::TestHuntDocuments",),
+    ),
+    Mutant(
+        "check-int-accepts-bools", CONNECTIVITY,
+        "if not isinstance(value, int) or isinstance(value, bool) or value < minimum:",
+        "if not isinstance(value, int) or value < minimum:",
+        INTEGER_TESTS,
+    ),
+    Mutant(
+        "from-masks-accepts-non-integers", SEPARATIONS,
+        "if type(m) is not int:",
+        "if False:",
+        INTEGER_TESTS,
+    ),
+    Mutant(
+        "loader-int-accepts-bools", IO,
+        "if isinstance(value, bool) or not isinstance(value, int):\n"
+        '        raise SchemaError(f"{where} must be an integer")',
+        "if not isinstance(value, int):\n"
+        '        raise SchemaError(f"{where} must be an integer")',
+        ("tests/test_io.py::TestFamilyDocuments",),
+    ),
+    Mutant(
+        "loader-nat-without-minimum", IO,
+        "return _int(value, where, 0)",
+        "return _int(value, where)",
+        ("tests/test_io.py::TestVerdictDocuments", "tests/test_io.py::TestHuntDocuments"),
+    ),
+    Mutant(
+        "one-of-without-base", IO,
+        "if base(value, where) not in values:",
+        "if value not in values:",
+        ("tests/test_io.py::TestVerdictDocuments",),
+    ),
+    Mutant(
+        "loader-accepts-unknown-fields", IO,
+        "    if unknown:\n",
+        "    if False:\n",
+        ("tests/test_io.py::TestSystemDocuments",),
+    ),
+    Mutant(
+        "loader-accepts-duplicate-keys", IO,
+        "json.loads(text, object_pairs_hook=_reject_duplicate_keys)",
+        "json.loads(text)",
+        ("tests/test_io.py::TestStrictIngest",),
     ),
 )
 
