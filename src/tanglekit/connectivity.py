@@ -16,13 +16,16 @@ table, built by it on first read up to n = 16, and beyond sends its one mask.
 Systems are immutable after construction apart from the ``verified`` flag and
 internal caches (the value table, the per-k contexts of ``separations`` and
 the result of ``duality.branch_width``), so they are safe to share between
-readers.
+readers, and ``build_system`` shares them: while a system it built is alive,
+an identical descriptor and name return that system and its caches.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import random
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -469,8 +472,7 @@ def hyperedge_system(n: int, hyperedges, *, name: str | None = None) -> Connecti
     return system
 
 
-def build_system(descriptor: dict, *, name: str | None = None) -> ConnectivitySystem:
-    """Instantiate a system from a descriptor shaped like the on-disk payload."""
+def _build(descriptor, name):
     if not isinstance(descriptor, dict):
         raise ValueError("system descriptor must be a mapping")
     kind = descriptor.get("kind")
@@ -483,10 +485,17 @@ def build_system(descriptor: dict, *, name: str | None = None) -> ConnectivitySy
     missing = fields - set(descriptor)
     if missing:
         raise ValueError(f"{kind} descriptor is missing fields: {sorted(missing)}")
+    arrays = (list, tuple)
+    for field in SYSTEM_FIELDS[kind]:
+        value = descriptor[field]
+        if field != "n" and not isinstance(value, arrays):
+            raise ValueError(f"{kind} {field} must be a list")
+        if field in ("edges", "hyperedges") and not all(isinstance(v, arrays) for v in value):
+            raise ValueError(f"{kind} {field} must be a list of lists")
     if kind == "explicit":
         n = _check_n(descriptor["n"], kind)
         values = descriptor["values"]
-        if not isinstance(values, (list, tuple)) or len(values) != 1 << n:
+        if len(values) != 1 << n:
             raise ValueError(
                 f"explicit values must be a list of length {1 << n} for n={n}"
             )
@@ -495,6 +504,30 @@ def build_system(descriptor: dict, *, name: str | None = None) -> ConnectivitySy
     build = {"graph_cut": graph_cut_system, "graph_boundary": graph_boundary_system,
              "hyperedge_boundary": hyperedge_system, "min_cardinality": min_cardinality_system}
     return build[kind](*(descriptor[f] for f in SYSTEM_FIELDS[kind]), name=name)
+
+
+# (name, descriptor JSON text) -> the live system build_system made from it
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def build_system(descriptor: dict, *, name: str | None = None) -> ConnectivitySystem:
+    """Instantiate a system from a descriptor shaped like the on-disk payload.
+
+    While a system built here lives, the same name and descriptor JSON text
+    return it: it passed its checks for exactly that text, which tells 1, 1.0
+    and true apart.  A new text is built and checked, then shared once it
+    passes; a descriptor ``json.dumps`` cannot encode is built unshared.
+    """
+    try:
+        key = (name, json.dumps(descriptor))
+        system = _LIVE.get(key)
+    except (TypeError, ValueError, RecursionError):  # not JSON, or name unhashable
+        key = system = None
+    if system is None:
+        system = _build(descriptor, name)
+        if key is not None:
+            _LIVE[key] = system
+    return system
 
 
 def system_descriptor(system: ConnectivitySystem) -> dict:

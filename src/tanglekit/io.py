@@ -314,8 +314,15 @@ def _canon_document(doc):
 # object -> document
 
 
-def _side_lists(masks):
-    return [mask_elements(m) for m in masks]
+class _Sides(dict):
+    """Mask -> its elements, each converted once; a call lists fresh sides."""
+
+    def __missing__(self, mask):
+        self[mask] = elements = mask_elements(mask)
+        return elements
+
+    def __call__(self, masks):
+        return [self[m][:] for m in masks]  # each side its own list
 
 
 def _fill(fields, *values):
@@ -332,22 +339,23 @@ def to_document(obj) -> dict:
 
     Keys come in the order of the check tables above, which the reader walks.
     """
+    side_lists = _Sides()  # sides repeat across a verdict's entries
     if isinstance(obj, dict):
         return _canon_document(obj)
     if isinstance(obj, ConnectivitySystem):
         return {"version": 1, **system_descriptor(obj)}
     if isinstance(obj, SeparationFamily):
-        return _document("sides", obj.k, _side_lists(obj.member_masks))
+        return _document("sides", obj.k, side_lists(obj.member_masks))
     if isinstance(obj, StructureReport):
         axioms = [
             _fill(_AXIOM_ENTRY, r.axiom.value, r.passed,
-                  _side_lists(r.witness), r.element)
+                  side_lists(r.witness), r.element)
             for r in obj.results
         ]
         return _document("axioms", obj.kind.value, obj.k, obj.variant, axioms, obj.passed)
     if isinstance(obj, EquivalenceVerdict):
         unmatched = [
-            _fill(_UNMATCHED_ENTRY, kind, _side_lists(f.member_masks))
+            _fill(_UNMATCHED_ENTRY, kind, side_lists(f.member_masks))
             for kind, f in obj.unmatched
         ]
         return _document("theorem", obj.theorem, obj.system, obj.k, obj.passed,
@@ -355,8 +363,8 @@ def to_document(obj) -> dict:
     if isinstance(obj, HuntVerdict):
         counterexamples = [
             _fill(_COUNTEREXAMPLE, system_descriptor(c.system), c.k, c.claim,
-                  _side_lists(c.family.member_masks), c.failing_axiom.value,
-                  _side_lists(c.witness))
+                  side_lists(c.family.member_masks), c.failing_axiom.value,
+                  side_lists(c.witness))
             for c in obj.counterexamples
         ]
         return _document("problem", obj.problem, obj.corpus, obj.systems_examined,

@@ -1,7 +1,9 @@
 """Set-function construction, evaluation, and the four-inequality verifier."""
 
+import gc
 import hashlib
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -19,10 +21,12 @@ from tanglekit import (
     hyperedge_system,
     min_cardinality_system,
     random_hyperedge_system,
+    save,
     standard_corpus,
     system_descriptor,
     verify_axioms,
 )
+from tanglekit import connectivity, load_system
 from tanglekit.connectivity import (
     CHECK_EMPTY_SET_MINIMUM,
     CHECK_POSIMODULARITY,
@@ -135,6 +139,77 @@ class TestValidation:
     def test_hyperedge_rejects_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
             hyperedge_system(3, [(1, 1)])
+
+    @pytest.mark.parametrize("descriptor, field", [
+        ({"kind": "hyperedge_boundary", "n": 3, "hyperedges": 5}, "hyperedges"),
+        ({"kind": "hyperedge_boundary", "n": 3, "hyperedges": [5]}, "hyperedges"),
+        ({"kind": "graph_cut", "vertices": ["a", "b"], "edges": 5}, "edges"),
+        ({"kind": "graph_boundary", "vertices": "abc", "edges": [["a", "b"]]}, "vertices"),
+    ])
+    def test_build_system_names_a_malformed_field(self, descriptor, field):
+        with pytest.raises(ValueError, match=f"{descriptor['kind']} {field} must be a list"):
+            build_system(descriptor)
+
+
+HYPER = {"kind": "hyperedge_boundary", "n": 3, "hyperedges": [[0, 1]]}
+
+
+class TestSharedBuilds:
+    """build_system returns the live system of an identical descriptor and name."""
+
+    @pytest.fixture
+    def spot_checks(self, monkeypatch):
+        calls = []
+        check = connectivity._spot_check
+        monkeypatch.setattr(connectivity, "_spot_check", lambda s: calls.append(s) or check(s))
+        return calls
+
+    def test_an_equal_descriptor_and_name_share_the_live_system(self, spot_checks):
+        system = build_system(HYPER, name="h")
+        assert build_system({"kind": "hyperedge_boundary", "n": 3, "hyperedges": [(0, 1)]},
+                            name="h") is system
+        assert build_system(system_descriptor(system), name="h") is system
+        assert spot_checks == [system]
+
+    def test_names_and_labels_keep_systems_apart(self):
+        system = build_system(HYPER)
+        assert build_system(HYPER, name="h") is not system
+        assert build_system({**HYPER, "hyperedges": [[1, 2]]}) is not system
+        cut = build_system({"kind": "graph_cut", "vertices": ["a", "b"], "edges": [["a", "b"]]})
+        other = build_system({"kind": "graph_cut", "vertices": ["x", "y"], "edges": [["x", "y"]]})
+        assert other is not cut and other.labels() == ("x", "y")
+
+    def test_a_dead_system_is_built_and_checked_again(self, spot_checks):
+        system = build_system(HYPER)
+        ref = weakref.ref(system)
+        del system
+        spot_checks.clear()
+        gc.collect()
+        assert ref() is None
+        rebuilt = build_system(HYPER)
+        assert spot_checks == [rebuilt]
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 5])
+    def test_rejected_descriptors_raise_while_a_valid_one_lives(self, bad):
+        system = build_system(HYPER)
+        with pytest.raises(ValueError):
+            build_system({**HYPER, "hyperedges": [[0, bad]]})
+        assert build_system(HYPER) is system
+
+    def test_descriptors_json_cannot_encode_build_as_before(self):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            build_system({**HYPER, "hyperedges": [[0, np.int64(1)]]})
+        system = build_system(HYPER, name=["unhashable"])
+        assert build_system(HYPER, name=["unhashable"]) is not system
+
+    def test_named_builders_return_fresh_systems(self):
+        assert hyperedge_system(3, [(0, 1)]) is not hyperedge_system(3, [(0, 1)])
+
+    def test_loading_one_file_twice_gives_one_system(self, tmp_path):
+        path = tmp_path / "h.json"
+        save(hyperedge_system(3, [(0, 1)]), path)
+        system = load_system(path)
+        assert load_system(path) is system and system.name == "h"
 
 
 class TestVerifier:

@@ -61,6 +61,7 @@ CHECKER_TESTS = (
     "tests/test_structures.py::TestPinnedResults",
     "tests/test_structures.py::TestSingleAxioms",
 )
+SHARED_BUILD_TESTS = ("tests/test_connectivity.py::TestSharedBuilds",)
 
 
 @dataclass(frozen=True)
@@ -273,8 +274,8 @@ MUTANTS = (
     ),
     Mutant(
         "counterexample-witness-from-family-sides", IO,
-        "_side_lists(c.witness))",
-        "_side_lists(c.family.member_masks))",
+        "side_lists(c.witness))",
+        "side_lists(c.family.member_masks))",
         ("tests/test_io.py::TestHuntDocuments",),
     ),
     Mutant(
@@ -282,6 +283,24 @@ MUTANTS = (
         "if not isinstance(value, int) or isinstance(value, bool) or value < minimum:",
         "if not isinstance(value, int) or value < minimum:",
         INTEGER_TESTS,
+    ),
+    Mutant(
+        "shared-build-key-without-name", CONNECTIVITY,
+        "key = (name, json.dumps(descriptor))",
+        "key = (None, json.dumps(descriptor))",
+        SHARED_BUILD_TESTS,
+    ),
+    Mutant(
+        "shared-build-key-from-field-names", CONNECTIVITY,
+        "key = (name, json.dumps(descriptor))",
+        "key = (name, str(sorted(descriptor)))",
+        SHARED_BUILD_TESTS,
+    ),
+    Mutant(
+        "shared-builds-held-strongly", CONNECTIVITY,
+        "_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()",
+        "_LIVE: weakref.WeakValueDictionary = {}",
+        SHARED_BUILD_TESTS,
     ),
     Mutant(
         "from-masks-accepts-non-integers", SEPARATIONS,
