@@ -40,7 +40,8 @@ ENUMERATION_LIMIT = 16
 EXHAUSTIVE_VERIFY_LIMIT = 12
 # cheap seeded spot check applied when structured kinds are built
 BUILD_SPOT_CHECK_PAIRS = 128
-# sampled verification evaluates its pairs this many at a time
+# sampled verification evaluates its pairs, and evaluate_many its masks,
+# this many at a time
 SAMPLE_CHUNK = 4096
 
 # descriptor fields of each kind besides "kind", in document order
@@ -97,7 +98,8 @@ class ConnectivitySystem:
         self.edges = edges
         self.hyperedges = hyperedges
         self.verified = False
-        self._cross_masks = cross_masks
+        # a boundary kind's crossing units as a column: f counts those A splits
+        self._units = np.array(cross_masks or (), dtype=np.int64)[:, None]
         self._table: np.ndarray | None = None
         self._contexts: dict = {}  # k -> separations.EfficientContext
         self._branch_width = None  # duality.branch_width's (width, edges, splits)
@@ -137,16 +139,19 @@ class ConnectivitySystem:
         if self._table is not None:
             return self._table[masks]
         if self.kind == "min_cardinality":
-            counts = np.zeros(masks.shape, dtype=np.int64)
-            for bit in range(self.n):
-                counts += (masks >> bit) & 1
+            counts = np.bitwise_count(masks).astype(np.int64)
             return np.minimum(counts, self.n - counts)
-        # boundary kinds: one pass per crossing unit
-        total = np.zeros(masks.shape, dtype=np.int64)
-        for unit in self._cross_masks:
-            hit = masks & unit
-            total += (hit != 0) & (hit != unit)
-        return total
+        # boundary kinds: every crossing unit against a row of masks at once,
+        # SAMPLE_CHUNK masks a row, so a table build holds one row's crossings
+        flat = masks.ravel()
+        total = np.empty(flat.shape, dtype=np.int64)
+        units = self._units
+        for start in range(0, flat.size, SAMPLE_CHUNK):
+            hit = flat[start:start + SAMPLE_CHUNK] & units
+            crossed = hit != 0
+            crossed &= hit != units
+            crossed.sum(axis=0, out=total[start:start + SAMPLE_CHUNK])
+        return total.reshape(masks.shape)
 
     def table(self) -> np.ndarray:
         """The full value table, built lazily and cached.  Needs n <= 24."""

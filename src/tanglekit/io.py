@@ -30,19 +30,27 @@ Sides and witnesses are sorted element lists; families list sides in
 ascending mask order.  Serialization is indent-2 UTF-8 with a trailing
 newline, so ``save(load(path))`` reproduces the file byte for byte.  One
 emitter writes it, byte-equal to ``json.dumps(doc, indent=2,
-ensure_ascii=False)`` at half its cost; building, parsing and validating a
-document pause the cyclic GC, which would rescan it while it is allocated.
-Ingest is strict: unknown fields, duplicate keys, bad versions, wrong
-types, out-of-range elements and duplicate sides are all rejected.
-Declared values that can be recomputed (orders, the k bound's sign) are
-verified rather than believed.
+ensure_ascii=False)``, into a string for ``dumps`` and straight into the
+file for ``save``, one entry at a time, so a save never holds the whole
+text; whatever can make a save raise is checked before the file is opened.
+Building, parsing and validating a document pause the cyclic GC, which
+would rescan it while it is allocated.  Ingest is strict: unknown fields,
+duplicate keys, bad versions, wrong types, out-of-range elements and
+duplicate sides are all rejected.  Declared values that can be recomputed
+(orders, the k bound's sign) are verified rather than believed.  The loader
+validates its own fresh parse in place and keeps its lists; a dict given to
+``to_document`` or ``save`` is copied, never aliased or changed.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
+from collections import defaultdict
 from contextlib import contextmanager
+from contextvars import ContextVar
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -57,6 +65,9 @@ from .structures import VARIANTS, AxiomId, StructureKind, StructureReport
 
 _AXIOM_VALUES = tuple(a.value for a in AxiomId)
 _KIND_VALUES = tuple(k.value for k in StructureKind)
+# true while ``_read`` validates the parse it made itself, whose lists no
+# caller holds, so a valid side is kept as parsed instead of copied
+_OWN_PARSE = ContextVar("tanglekit.io own parse", default=False)
 
 
 def _reject_duplicate_keys(pairs):
@@ -111,7 +122,8 @@ def _need(doc, shape, keys, versioned):
 
 # ---------------------------------------------------------------------------
 # field checks: each takes (value, where), raises SchemaError naming ``where``
-# and returns the canonical value
+# and returns the canonical value.  ``where`` is None while an array's items
+# are checked on the fast path; a failure there is checked again with paths
 
 
 def _int(value, where, minimum=None):
@@ -154,9 +166,18 @@ def _optional(check):
 
 
 def _array_of(check):
-    return lambda value, where: [
-        check(v, f"{where}[{i}]") for i, v in enumerate(_list(value, where))
-    ]
+    """Check every item without its path; if one fails, check again with paths
+    (checks are pure), so the first failure names its item.  An array checked
+    without a path of its own leaves that to the array around it."""
+    def run(value, where):
+        items = _list(value, where)
+        try:
+            return [check(v, None) for v in items]
+        except SchemaError:
+            if where is None:
+                raise
+            return [check(v, f"{where}[{i}]") for i, v in enumerate(items)]
+    return run
 
 
 def _side(value, where):
@@ -172,7 +193,7 @@ def _side(value, where):
                 break
             last = e
         else:
-            return list(value)
+            return value if _OWN_PARSE.get() else list(value)
     for i, e in enumerate(_list(value, where)):
         _int(e, f"{where}[{i}]", minimum=0)
     if len(set(value)) != len(value):
@@ -226,7 +247,8 @@ def _walk(doc, fields, where, nested=False):
     _need(doc, where, fields, not nested)
     out = {} if nested else {"version": 1}
     for key, check in fields.items():
-        out[key] = check(doc[key], f"{where}.{key}" if nested else key)
+        path = key if not nested else None if where is None else f"{where}.{key}"
+        out[key] = check(doc[key], path)
     return out
 
 
@@ -273,6 +295,13 @@ _COUNTEREXAMPLE = {
 }
 _PER_K_ENTRY = {"k": _nat, "tangle_exists": _bool, "matches": _bool}
 
+
+def _corpus(value, where):
+    """A hunt's corpus: any object, whose contents only the emitter checks."""
+    _obj(value, where)
+    return value if _OWN_PARSE.get() else copy.deepcopy(value)
+
+
 # identifying key -> (shape, fields), tried in this order; a document with
 # none of these keys but a "kind" is a system
 _SHAPES = {
@@ -287,7 +316,7 @@ _SHAPES = {
         "unmatched": _entries(_UNMATCHED_ENTRY), "bw": _optional(_nat),
     }),
     "problem": ("hunt verdict", {
-        "problem": _one_of(*PROBLEMS, base=_int), "corpus": _obj,
+        "problem": _one_of(*PROBLEMS, base=_int), "corpus": _corpus,
         "systems_examined": _nat, "structures_examined": _nat,
         "counterexamples": _entries(_COUNTEREXAMPLE),
         "status": _one_of(HUNT_NONE_FOUND, HUNT_FOUND, HUNT_BUDGET),
@@ -378,63 +407,139 @@ def to_document(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _text(doc) -> str:
-    """``json.dumps(doc, indent=2, ensure_ascii=False)``, one join per container.
+_INTS = frozenset({int})  # exact ints: True and 1.0 equal 1 but print otherwise
 
-    A list of plain ints is one string, kept per (indent, ints): sides repeat.
+
+def _emitter():
+    """``emit(value, nl)``: the text ``json.dumps(value, indent=2,
+    ensure_ascii=False)`` gives ``value`` nested at newline-and-indent ``nl``.
+
+    Each list of exact ints is rendered once per indent, since sides repeat,
+    and kept in a memo whose keys hold nothing but exact ints.
     """
-    memo = {}
+    memo = defaultdict(dict)  # indent -> {tuple of ints: its text}
+
+    def ints(key, nl):
+        if key:
+            inner = nl + "  "
+            text = "[" + inner + ("," + inner).join(map(int.__repr__, key)) + nl + "]"
+        else:
+            text = "[]"
+        memo[nl][key] = text
+        return text
 
     def emit(value, nl):
-        if isinstance(value, str):
+        kind = type(value)
+        if kind is str:
             return encode_basestring(value)
-        if isinstance(value, list):
+        if kind is list:
             if not value:
                 return "[]"
+            kinds = {*map(type, value)}
+            if kinds <= _INTS:
+                key = tuple(value)
+                return memo[nl].get(key) or ints(key, nl)
             inner = nl + "  "
-            if all(type(v) is int for v in value):
-                key = (nl, *value)
-                text = memo.get(key)
-                if text is None:
-                    items = ("," + inner).join(map(int.__repr__, value))
-                    text = memo[key] = "[" + inner + items + nl + "]"
-                return text
-            return "[" + inner + ("," + inner).join([emit(v, inner) for v in value]) + nl + "]"
-        if isinstance(value, dict):
+            if kinds == {list} and {*map(type, chain.from_iterable(value))} <= _INTS:
+                texts = memo[inner]  # sides, witnesses, hyperedges
+                items = [texts.get(key) or ints(key, inner) for key in map(tuple, value)]
+            else:
+                items = [emit(v, inner) for v in value]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if kind is dict:
             if not value:
                 return "{}"
             inner = nl + "  "
             items = [encode_basestring(k) + ": " + emit(v, inner) for k, v in value.items()]
             return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if kind is int:
+            return int.__repr__(value)
         if value is None or value is True or value is False:
             return "null" if value is None else "true" if value else "false"
+        if isinstance(value, str):
+            return encode_basestring(value)
         if isinstance(value, int):
             return int.__repr__(value)
-        if isinstance(value, tuple):
+        if isinstance(value, (list, tuple)):
             return emit(list(value), nl)
+        if isinstance(value, dict):
+            return emit(dict(value.items()), nl)
         return json.dumps(value)  # floats; other types raise as json.dumps does
 
-    return emit(doc, "\n")
+    return emit
+
+
+def _write(doc, write) -> None:
+    """Pass ``json.dumps(doc, indent=2, ensure_ascii=False)`` to ``write``.
+
+    A document goes field by field and an array of documents or entries item
+    by item; any other value, such as one entry, is one string of the
+    emitter, whose memo serves the whole call.
+    """
+    emit = _emitter()
+
+    def walk(head, value, nl, document):  # writes ``head``, then ``value``
+        inner = nl + "  "
+        if value and type(value) is list and type(value[0]) is dict:
+            head += "["
+            for item in value:
+                walk(head + inner, item, inner, document)
+                head = ","
+            write(nl + "]")
+        elif document and value and type(value) is dict:
+            head += "{"
+            for key, item in value.items():
+                walk(head + inner + encode_basestring(key) + ": ", item, inner, False)
+                head = ","
+            write(nl + "}")
+        else:
+            write(head + emit(value, nl))
+
+    walk("", doc, "\n", True)
+
+
+def _text(doc) -> str:
+    """The emitter's string sink."""
+    pieces = []
+    _write(doc, pieces.append)
+    return "".join(pieces)
+
+
+def _documents(obj):
+    return [to_document(o) for o in obj] if isinstance(obj, list) else to_document(obj)
 
 
 def dumps(obj) -> str:
     """Canonical text of one object, or of a list of objects as a JSON array."""
     with _gc_paused():
-        doc = [to_document(o) for o in obj] if isinstance(obj, list) else to_document(obj)
-        return _text(doc) + "\n"
+        return _text(_documents(obj)) + "\n"
 
 
 def save(document, path) -> None:
     """Write the canonical serialization (validating dicts on the way out).
 
-    ``document`` is one toolkit object or parsed dict, or a list of them.
+    ``document`` is one toolkit object or parsed dict, or a list of them.  The
+    text goes to the file as it is emitted.  Everything else that can raise,
+    the checks and a corpus JSON cannot hold, runs before the file is opened,
+    so a save that raises leaves the target as it was.
     """
-    Path(path).write_text(dumps(document), encoding="utf-8")
+    with _gc_paused():
+        doc = _documents(document)
+        for d in doc if isinstance(doc, list) else (doc,):
+            if "corpus" in d:
+                _text(d["corpus"])  # the one field no check types
+        with Path(path).open("w", encoding="utf-8") as file:
+            _write(doc, file.write)
+            file.write("\n")
 
 
 def _read(path) -> dict:
-    with _gc_paused():
-        return _canon_document(_parse(path))
+    token = _OWN_PARSE.set(True)
+    try:
+        with _gc_paused():
+            return _canon_document(_parse(path))
+    finally:
+        _OWN_PARSE.reset(token)
 
 
 def load_document(path) -> dict:

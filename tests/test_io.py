@@ -1,8 +1,11 @@
 """Canonical JSON round-trips and strict ingest validation."""
 
+import copy
 import gc
 import hashlib
 import json
+from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -500,6 +503,16 @@ class TestWriter:
     def test_text_matches_json_dumps(self, value):
         assert io._text(value) == json.dumps(value, indent=2, ensure_ascii=False)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    @example([{"a": [{"b": [[0, 1], []]}], "c": {"d": [True, 1]}}, [[1], [True]], {}])
+    @example({"a": [{"b": 1}, [1, 2], {"c": [[1, 2]]}], "d": {}, "e": [[1.0], [1]]})
+    def test_streamed_sink_matches_json_dumps(self, value):
+        """The pieces ``save`` writes to its file, with one memo per call."""
+        sink = StringIO()
+        io._write(value, sink.write)
+        assert sink.getvalue() == json.dumps(value, indent=2, ensure_ascii=False)
+
 
 class TestGcState:
     """Public I/O calls pause the cyclic GC and leave it as they found it."""
@@ -536,3 +549,131 @@ class TestGcState:
                 assert gc.isenabled() is enabled, i
         finally:
             (gc.enable if before else gc.disable)()
+
+
+class _SetCorpus(NamedCorpus):
+    """A corpus whose description holds a set, which JSON cannot."""
+
+    def describe(self):
+        return {"named": {s.name for s in self.members}}
+
+
+def _lists(value):
+    """Every list in a JSON tree, by identity (the tree keeps them alive)."""
+    found = {}
+    if isinstance(value, list):
+        found[id(value)] = value
+    for item in value.values() if isinstance(value, dict) else (
+        value if isinstance(value, list) else ()
+    ):
+        found.update(_lists(item))
+    return found
+
+
+class TestStreamedSave:
+    """``save`` streams its text and still never leaves a partial file."""
+
+    def failing_saves(self, min3):
+        verdict = hunt(9, _SetCorpus((min3,)))
+        assert verdict.counterexamples
+        return [
+            ({"version": 1, "payload": 3}, SchemaError, "not recognised"),
+            ([min3, {"version": 1, "k": -1, "sides": []}], SchemaError, "k must be >= 0"),
+            (verdict, TypeError, "set is not JSON serializable"),
+            ([min3, verdict], TypeError, "set is not JSON serializable"),
+        ]
+
+    def test_a_failed_save_keeps_an_existing_target(self, tmp_path, min3):
+        path = tmp_path / "target.json"
+        save(min3, path)
+        before = path.read_bytes()
+        for document, error, message in self.failing_saves(min3):
+            with pytest.raises(error, match=message):
+                save(document, path)
+            assert path.read_bytes() == before
+
+    def test_a_failed_save_creates_no_file(self, tmp_path, min3):
+        path = tmp_path / "absent.json"
+        for document, error, message in self.failing_saves(min3):
+            with pytest.raises(error, match=message):
+                save(document, path)
+            assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_corpus_error_is_the_one_json_dumps_raises(self, min3):
+        corpus = _SetCorpus((min3,)).describe()
+        with pytest.raises(TypeError) as expected:
+            json.dumps(corpus)
+        with pytest.raises(TypeError) as raised:
+            io.dumps(hunt(9, _SetCorpus((min3,))))
+        assert str(raised.value) == str(expected.value)
+
+    def test_no_write_holds_two_counterexamples(self, tmp_path, monkeypatch, min3, c4):
+        verdict = hunt(9, NamedCorpus((min3, c4)))
+        assert len(verdict.counterexamples) >= 2
+        writes = []
+        real_open = Path.open
+
+        class Recorder:
+            def __init__(self, file):
+                self.file = file
+
+            def write(self, text):
+                writes.append(text)
+                return self.file.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+        path = tmp_path / "verdict.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "open", lambda self, *a, **kw: Recorder(real_open(self, *a, **kw)))
+            save(verdict, path)
+        assert "".join(writes) == path.read_text(encoding="utf-8") == io.dumps(verdict)
+        assert max(w.count('"failing_axiom"') for w in writes) == 1
+        assert sum(w.count('"failing_axiom"') for w in writes) == len(verdict.counterexamples)
+
+
+class TestNoAliasing:
+    """The loader keeps its own parse; a caller's dict is copied, never shared."""
+
+    def documents(self, min3, c4):
+        hyper = hyperedge_system(4, [(0, 1), (1, 2, 3)])
+        return [
+            hunt(9, NamedCorpus((min3, c4, hyper))),
+            check_structure(min3, 1, SeparationFamily.from_masks(min3, 1, [3, 5, 6, 7]),
+                            "ultrafilter"),
+            verify_theorem(12, min3, 0),
+            SeparationFamily.from_masks(min3, 1, [0, 3, 5]),
+            hyper,
+            branch_width(c4)[1],
+        ]
+
+    def test_to_document_of_a_loaded_document_shares_no_list(self, tmp_path, min3, c4):
+        for i, obj in enumerate(self.documents(min3, c4)):
+            path = tmp_path / f"doc{i}.json"
+            save(obj, path)
+            loaded = load_document(path)
+            before = copy.deepcopy(loaded)
+            canonical = to_document(loaded)
+            assert canonical == loaded == before
+            assert not set(_lists(canonical)) & set(_lists(loaded)), i
+            save(loaded, tmp_path / "again.json")
+            assert loaded == before
+            assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+            for side in _lists(canonical).values():
+                side.append("changed")
+            assert loaded == before
+
+    def test_two_loads_are_independent(self, tmp_path, min3, c4):
+        path = tmp_path / "verdict.json"
+        save(self.documents(min3, c4)[0], path)
+        first, second = load_document(path), load_document(path)
+        assert first == second
+        assert not set(_lists(first)) & set(_lists(second))
+        first["counterexamples"][0]["sides"][0].append(99)
+        first["corpus"]["named"].append("x")
+        assert second == load_document(path)

@@ -42,6 +42,7 @@ KERNEL_TESTS = (
 )
 WRITER_TESTS = ("tests/test_io.py::TestByteFormat", "tests/test_io.py::TestWriter")
 GC_TESTS = ("tests/test_io.py::TestGcState",)
+STREAM_TESTS = ("tests/test_io.py::TestStreamedSave",)
 INTEGER_TESTS = ("tests/test_integer_inputs.py",)
 # the rules' soundness mutants drop valid families, which the leaf re-check
 # cannot see; the oracle sweeps and the corpus family pin must.  The node-count
@@ -179,25 +180,63 @@ MUTANTS = (
     ),
     Mutant(
         "int-list-separator-without-comma", IO,
-        'items = ("," + inner).join(map(int.__repr__, value))',
-        "items = inner.join(map(int.__repr__, value))",
+        '("," + inner).join(map(int.__repr__, key))',
+        "inner.join(map(int.__repr__, key))",
         WRITER_TESTS,
     ),
     Mutant(
-        "int-list-memo-key-without-indent", IO,
-        "key = (nl, *value)",
-        "key = (*value,)",
+        "int-list-memo-without-indent", IO,
+        "memo = defaultdict(dict)",
+        "memo = defaultdict((lambda shared: lambda: shared)({}))",
         WRITER_TESTS,
     ),
     Mutant(
         "bool-test-after-int-test", IO,
         "if value is None or value is True or value is False:\n"
         '            return "null" if value is None else "true" if value else "false"\n'
+        "        if isinstance(value, str):\n            return encode_basestring(value)\n"
         "        if isinstance(value, int):\n            return int.__repr__(value)\n",
         "if isinstance(value, int):\n            return int.__repr__(value)\n"
         "        if value is None or value is True or value is False:\n"
-        '            return "null" if value is None else "true" if value else "false"\n',
+        '            return "null" if value is None else "true" if value else "false"\n'
+        "        if isinstance(value, str):\n            return encode_basestring(value)\n",
         WRITER_TESTS,
+    ),
+    Mutant(
+        "int-list-fast-path-accepts-bool", IO,
+        "_INTS = frozenset({int})",
+        "_INTS = frozenset({int, bool})",
+        WRITER_TESTS,
+    ),
+    Mutant(
+        "save-opens-before-the-corpus-check", IO,
+        "        for d in doc if isinstance(doc, list) else (doc,):\n"
+        '            if "corpus" in d:\n'
+        '                _text(d["corpus"])  # the one field no check types\n'
+        '        with Path(path).open("w", encoding="utf-8") as file:\n',
+        '        with Path(path).open("w", encoding="utf-8") as file:\n'
+        "            for d in doc if isinstance(doc, list) else (doc,):\n"
+        '                if "corpus" in d:\n'
+        '                    _text(d["corpus"])\n',
+        STREAM_TESTS,
+    ),
+    Mutant(
+        "streamed-sink-writes-the-whole-text", IO,
+        '_write(doc, file.write)\n            file.write("\\n")',
+        'file.write(_text(doc) + "\\n")',
+        STREAM_TESTS,
+    ),
+    Mutant(
+        "copy-free-read-serves-to-document", IO,
+        'ContextVar("tanglekit.io own parse", default=False)',
+        'ContextVar("tanglekit.io own parse", default=True)',
+        ("tests/test_io.py::TestNoAliasing",),
+    ),
+    Mutant(
+        "failing-array-not-checked-again-with-paths", IO,
+        "            if where is None:\n                raise\n",
+        "            raise\n",
+        ("tests/test_io.py::TestFamilyDocuments",),
     ),
     Mutant(
         "gc-reenabled-unconditionally", IO,
