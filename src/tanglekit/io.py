@@ -32,7 +32,10 @@ newline, so ``save(load(path))`` reproduces the file byte for byte.  One
 emitter writes it, byte-equal to ``json.dumps(doc, indent=2,
 ensure_ascii=False)``, into a string for ``dumps`` and straight into the
 file for ``save``, one entry at a time, so a save never holds the whole
-text; whatever can make a save raise is checked before the file is opened.
+text.  The schema checks and a trial emission of the free-form hunt corpus
+run before the file is opened, so a save they reject leaves the target as
+it was; an error while writing (a string UTF-8 cannot encode, a full disk)
+leaves the entries written so far.
 Building, parsing and validating a document pause the cyclic GC, which
 would rescan it while it is allocated.  Ingest is strict: unknown fields,
 duplicate keys, bad versions, wrong types, out-of-range elements and
@@ -496,13 +499,12 @@ def _write(doc, write) -> None:
             write(head + emit(value, nl))
 
     walk("", doc, "\n", True)
+    del walk  # it refers to itself: free it now, not at the next GC pass
 
 
 def _text(doc) -> str:
-    """The emitter's string sink."""
-    pieces = []
-    _write(doc, pieces.append)
-    return "".join(pieces)
+    """The emitter's string sink: the whole text as one string."""
+    return _emitter()(doc, "\n")
 
 
 def _documents(obj):
@@ -519,9 +521,9 @@ def save(document, path) -> None:
     """Write the canonical serialization (validating dicts on the way out).
 
     ``document`` is one toolkit object or parsed dict, or a list of them.  The
-    text goes to the file as it is emitted.  Everything else that can raise,
-    the checks and a corpus JSON cannot hold, runs before the file is opened,
-    so a save that raises leaves the target as it was.
+    text goes to the file as it is emitted.  The checks and a corpus JSON
+    cannot hold raise before the file is opened, leaving the target as it
+    was; an error while writing leaves the part written so far.
     """
     with _gc_paused():
         doc = _documents(document)
