@@ -35,7 +35,13 @@ file for ``save``, one entry at a time, so a save never holds the whole
 text.  The schema checks and a trial emission of the free-form hunt corpus
 run before the file is opened, so a save they reject leaves the target as
 it was; an error while writing (a string UTF-8 cannot encode, a full disk)
-leaves the entries written so far.
+leaves the entries written so far.  The loader reads the file in 1 MiB
+chunks and decodes the top-level object member by member with the stdlib
+scanner, and an array of entries item by item, making each entry canonical
+as soon as it is decoded; so a load never holds the whole text, nor an array
+beside its canonical twin.  A file that is not JSON gets the message, line,
+column and char that ``json.loads`` of the whole text gives; one that is not
+UTF-8 gets the offset of its first bad byte.
 Building, parsing and validating a document pause the cyclic GC, which
 would rescan it while it is allocated.  Ingest is strict: unknown fields,
 duplicate keys, bad versions, wrong types, out-of-range elements and
@@ -47,12 +53,15 @@ validates its own fresh parse in place and keeps its lists; a dict given to
 
 from __future__ import annotations
 
+import codecs
 import copy
 import gc
 import json
+import re
 from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
+from io import IncrementalNewlineDecoder
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -97,18 +106,164 @@ def _gc_paused():
             gc.enable()
 
 
-def _parse(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top-level value must be an object")
-    return doc
+_CHUNK = 1 << 20  # bytes read at a time
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace, as ``json`` skips it
+_SCAN = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys).scan_once
+_UTF8 = codecs.getincrementaldecoder("utf-8")
+
+
+class _Reader:
+    """One JSON document read from a binary file a chunk at a time.
+
+    ``text[at:]`` is the text not yet consumed, which a refill carries over;
+    newlines are translated as ``read_text`` translates them.  Values go to
+    the stdlib scanner.  At an error the rest of the file goes to
+    ``json.loads`` behind a stub, a short text that leaves the scanner in the
+    reader's state, and ``start``, ``lines`` and ``line_start`` place the
+    error in the whole text.
+    """
+
+    def __init__(self, path, file):
+        self.path, self.file = path, file
+        self.decoder = IncrementalNewlineDecoder(_UTF8(), translate=True)
+        self.text, self.at, self.start = "", 0, 0
+        self.lines = self.line_start = self.bytes = 0
+        self.eof = False
+
+    def more(self) -> bool:
+        """Append the next chunk, at least as long as the text held (so a long
+        value is decoded a bounded number of times); False at the end."""
+        if self.eof:
+            return False
+        data = self.file.read(max(_CHUNK, len(self.text) - self.at))
+        self.eof = not data
+        try:
+            chunk = self.decoder.decode(data, final=self.eof)
+        except UnicodeDecodeError as exc:
+            # exc.object is the bytes the decoder held back, then ``data``
+            byte = self.bytes - (len(exc.object) - len(data)) + exc.start
+            raise SchemaError(
+                f"{self.path} is not valid UTF-8: {exc.reason} at byte {byte}"
+            ) from exc
+        self.bytes += len(data)
+        text, at = self.text, self.at
+        self.lines += text.count("\n", 0, at)
+        last = text.rfind("\n", 0, at)
+        if last >= 0:
+            self.line_start = self.start + last + 1
+        self.text, self.at, self.start = text[at:] + chunk, 0, self.start + at
+        return True
+
+    def char(self) -> str:
+        """Skip whitespace; the next character, or "" at the end of the file."""
+        while True:
+            text = self.text
+            self.at = at = _WHITESPACE.match(text, self.at).end()
+            if at < len(text):
+                return text[at]
+            if not self.more():
+                return ""
+
+    def value(self, stub):
+        """Decode the value at ``at``; on failure raise ``fail(stub)``."""
+        while True:
+            text = self.text
+            try:
+                value, end = _SCAN(text, self.at)
+            except (StopIteration, json.JSONDecodeError):
+                if self.more():
+                    continue
+                self.fail(stub)
+            if end < len(text) or not self.more():  # a number may go on
+                self.at = end
+                return value
+
+    def fail(self, stub):
+        """Raise what ``json.loads`` raises for the whole text, whose part
+        before ``at`` was read without error."""
+        while self.more():
+            pass
+        try:
+            json.loads(stub + self.text[self.at:], object_pairs_hook=_reject_duplicate_keys)
+        except json.JSONDecodeError as exc:
+            local = self.at + exc.pos - len(stub)
+            char = self.start + local
+            line = self.lines + self.text.count("\n", 0, local) + 1
+            last = self.text.rfind("\n", 0, local)
+            column = local - last if last >= 0 else char - self.line_start + 1
+            raise SchemaError(
+                f"{self.path} is not valid JSON: {exc.msg}: "
+                f"line {line} column {column} (char {char})"
+            ) from exc
+        raise SchemaError(f"{self.path}: top-level value must be an object")
+
+    def document(self):
+        """The top-level object and the keys of its canonical entry arrays."""
+        while not self.text and self.more():
+            pass
+        if self.text.startswith("\ufeff"):
+            self.fail("")
+        if self.char() != "{":
+            self.fail(" ")  # a space, so a BOM after whitespace is no BOM
+        self.at += 1
+        pairs, done, stub = [], [], "{"
+        c = self.char()
+        while c != "}":
+            if c != '"':
+                self.fail(stub)
+            key = self.value(stub)
+            if self.char() != ":":
+                self.fail('{""')
+            self.at += 1
+            self.char()
+            if key in _ENTRIES and self.text.startswith("[", self.at):
+                value, canonical = self.entries(_ENTRIES[key])
+                if canonical:
+                    done.append(key)
+            else:
+                value = self.value('{"":')
+            pairs.append((key, value))
+            c = self.char()
+            if c == ",":
+                self.at += 1
+                stub = '{"":null,'
+                if (c := self.char()) == "}":
+                    self.fail(stub)
+            elif c != "}":
+                self.fail('{"":null')
+        self.at += 1
+        doc = _reject_duplicate_keys(pairs)
+        if self.char():
+            self.fail("{}")
+        return doc, done
+
+    def entries(self, check):
+        """An array made canonical item by item, and whether all of it was.
+
+        From the first item ``check`` rejects on, items stay as parsed, for
+        the document's check to report in its own order.
+        """
+        self.at += 1
+        items, canonical, stub = [], True, "["
+        c = self.char()
+        while c != "]":
+            item = self.value(stub)
+            if canonical:
+                try:
+                    item = check(item, None)
+                except SchemaError:
+                    canonical = False
+            items.append(item)
+            c = self.char()
+            if c == ",":
+                self.at += 1
+                stub = "[null,"
+                if (c := self.char()) == "]":
+                    self.fail(stub)
+            elif c != "]":
+                self.fail("[null")
+        self.at += 1
+        return items, canonical
 
 
 def _need(doc, shape, keys, versioned):
@@ -255,8 +410,8 @@ def _walk(doc, fields, where, nested=False):
     return out
 
 
-def _entries(fields):
-    return _array_of(lambda value, where: _walk(value, fields, where, nested=True))
+def _entry(fields):
+    return lambda value, where: _walk(value, fields, where, nested=True)
 
 
 _SYSTEM_CHECKS = {
@@ -297,6 +452,12 @@ _COUNTEREXAMPLE = {
     "witness": _sides,
 }
 _PER_K_ENTRY = {"k": _nat, "tangle_exists": _bool, "matches": _bool}
+# each array of entries by its key, which no other shape uses; the reader
+# checks its items one by one as it decodes them
+_ENTRIES = {
+    "axioms": _entry(_AXIOM_ENTRY), "unmatched": _entry(_UNMATCHED_ENTRY),
+    "counterexamples": _entry(_COUNTEREXAMPLE), "per_k": _entry(_PER_K_ENTRY),
+}
 
 
 def _corpus(value, where):
@@ -311,31 +472,38 @@ _SHAPES = {
     "axioms": ("structure report", {
         "kind": _one_of(*_KIND_VALUES), "k": _nat,
         "variant": _one_of(*VARIANTS),
-        "axioms": _entries(_AXIOM_ENTRY), "pass": _bool,
+        "axioms": _array_of(_ENTRIES["axioms"]), "pass": _bool,
     }),
     "theorem": ("equivalence verdict", {
         "theorem": _one_of(*THEOREMS, base=_int), "system": _str,
         "k": _nat, "pass": _bool, "counts": _counts,
-        "unmatched": _entries(_UNMATCHED_ENTRY), "bw": _optional(_nat),
+        "unmatched": _array_of(_ENTRIES["unmatched"]), "bw": _optional(_nat),
     }),
     "problem": ("hunt verdict", {
         "problem": _one_of(*PROBLEMS, base=_int), "corpus": _corpus,
         "systems_examined": _nat, "structures_examined": _nat,
-        "counterexamples": _entries(_COUNTEREXAMPLE),
+        "counterexamples": _array_of(_ENTRIES["counterexamples"]),
         "status": _one_of(HUNT_NONE_FOUND, HUNT_FOUND, HUNT_BUDGET),
     }),
     "per_k": ("duality report", {
         "system": _str, "bw": _nat, "max_tangle_order": _nat,
-        "per_k": _entries(_PER_K_ENTRY), "agrees": _bool, "degenerate": _bool,
+        "per_k": _array_of(_ENTRIES["per_k"]), "agrees": _bool, "degenerate": _bool,
     }),
     "tree": ("branch-width report", {"system": _str, "width": _nat, "tree": _tree}),
     "sides": ("family", {"k": _nat, "sides": _family_sides}),
 }
 
 
-def _canon_document(doc):
+def _kept(value, where):
+    return value
+
+
+def _canon_document(doc, done=()):
+    """The canonical document; the arrays named in ``done`` are taken as they
+    are, since the reader made each of their items canonical."""
     for key, (shape, fields) in _SHAPES.items():
         if key in doc:
+            fields = {k: _kept if k in done else check for k, check in fields.items()}
             return _walk(doc, fields, shape)
     if "kind" in doc:
         return _system(doc)
@@ -399,8 +567,9 @@ def to_document(obj) -> dict:
                   side_lists(c.witness))
             for c in obj.counterexamples
         ]
-        return _document("problem", obj.problem, obj.corpus, obj.systems_examined,
-                         obj.structures_examined, counterexamples, obj.status)
+        return _document("problem", obj.problem, copy.deepcopy(obj.corpus),
+                         obj.systems_examined, obj.structures_examined,
+                         counterexamples, obj.status)
     if isinstance(obj, DualityReport):
         per_k = [_fill(_PER_K_ENTRY, *row) for row in obj.per_k]
         return _document("per_k", obj.system, obj.bw, obj.max_tangle_order, per_k,
@@ -533,13 +702,19 @@ def save(document, path) -> None:
         with Path(path).open("w", encoding="utf-8") as file:
             _write(doc, file.write)
             file.write("\n")
+        doc = d = None  # freed here, or the first collection after the pause walks it
 
 
 def _read(path) -> dict:
     token = _OWN_PARSE.set(True)
     try:
         with _gc_paused():
-            return _canon_document(_parse(path))
+            try:
+                with open(path, "rb") as file:
+                    doc, done = _Reader(path, file).document()
+            except OSError as exc:
+                raise SchemaError(f"cannot read {path}: {exc}") from exc
+            return _canon_document(doc, done)
     finally:
         _OWN_PARSE.reset(token)
 

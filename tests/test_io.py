@@ -30,6 +30,7 @@ from tanglekit import (
     load_document,
     load_family,
     load_system,
+    min_cardinality_system,
     save,
     to_document,
     verify_branchwidth_duality,
@@ -550,6 +551,32 @@ class TestGcState:
         finally:
             (gc.enable if before else gc.disable)()
 
+    def test_save_frees_the_document_before_the_gc_resumes(
+        self, tmp_path, monkeypatch, min3, c4
+    ):
+        """Otherwise the first collection after the pause walks all of it
+        (about 0.2 s on the corpus problem-9 verdict)."""
+        verdict = hunt(9, NamedCorpus((min3, c4)))
+        young = []
+        resume = gc.enable
+
+        def enable():
+            young.extend(
+                o for o in gc.get_objects(generation=0)
+                if type(o) is list and o and type(o[0]) is dict and "failing_axiom" in o[0]
+            )
+            resume()
+
+        monkeypatch.setattr(gc, "enable", enable)
+        before = gc.isenabled()
+        try:
+            resume()
+            save(verdict, tmp_path / "verdict.json")
+        finally:
+            (resume if before else gc.disable)()
+        assert young == []
+        assert (tmp_path / "verdict.json").read_text(encoding="utf-8") == io.dumps(verdict)
+
 
 class _SetCorpus(NamedCorpus):
     """A corpus whose description holds a set, which JSON cannot."""
@@ -677,3 +704,158 @@ class TestNoAliasing:
         first["counterexamples"][0]["sides"][0].append(99)
         first["corpus"]["named"].append("x")
         assert second == load_document(path)
+
+    def test_to_document_copies_the_hunt_corpus(self, min3):
+        verdict = hunt(9, NamedCorpus((min3,)))
+        doc = to_document(verdict)
+        doc["corpus"]["named"].append("x")
+        assert verdict.corpus["named"] == ["min3"]
+        assert to_document(verdict)["corpus"]["named"] == ["min3"]
+
+
+def whole_text_load(path):
+    """The loader as it was with ``json.loads`` of the whole text: the reference."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text, object_pairs_hook=io._reject_duplicate_keys)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: top-level value must be an object")
+    return to_document(doc)
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+# the texts put in place of each character, and before it, taking turns
+_EDITS = ("", "}", "]", ",", '"', "0", " ", "\\", ":", "{", "[", "x", "-", ".", "e", "\n",
+          "\r", "\ufeff", "é", "1", "null", '"k": 1, ')
+
+
+class TestStreamedLoad:
+    """Loading chunk by chunk and entry by entry gives what loading the whole
+    text gives: the same document, or the same error text, which names the
+    same line, column and char."""
+
+    CHUNK = 5  # bytes, so values, entries and characters cross chunk boundaries
+
+    @pytest.fixture
+    def text(self):
+        # two counterexamples, and a name whose characters take two bytes
+        systems = (builtin_system("min3"), min_cardinality_system(3, name="mïn3"))
+        text = io.dumps(hunt(9, NamedCorpus(systems)))
+        assert text.count('"failing_axiom"') == 2 and len(text.encode()) > len(text)
+        return text
+
+    def assert_same(self, path, data):
+        path.write_bytes(data.encode())
+        expected = outcome(whole_text_load, path)
+        assert outcome(load_document, path) == expected, data
+        return expected
+
+    def test_every_truncation(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(io, "_CHUNK", self.CHUNK)
+        path = tmp_path / "doc.json"
+        outcomes = [self.assert_same(path, text[:end]) for end in range(len(text) + 1)]
+        assert outcomes[-1] == outcomes[-2] == to_document(json.loads(text))
+        assert len({o for o in outcomes if isinstance(o, str)}) > len(text) / 2
+
+    def test_every_position_edited(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(io, "_CHUNK", self.CHUNK)
+        path = tmp_path / "doc.json"
+        for i in range(len(text)):
+            edit = _EDITS[i % len(_EDITS)]
+            self.assert_same(path, text[:i] + edit + text[i + 1:])
+            self.assert_same(path, text[:i] + edit + text[i:])
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 20])
+    def test_special_texts(self, tmp_path, monkeypatch, text, chunk):
+        monkeypatch.setattr(io, "_CHUNK", chunk)
+        path = tmp_path / "doc.json"
+        entry = text.index('"k": 1')
+        cases = [
+            text, text.replace("\n", "\r\n"), text.replace("\n", "\r"),
+            "\ufeff" + text, " \ufeff" + text, text + "\n\n  ", text + "x", text + "{}",
+            "", "   \n ", "[1, 2]", "5", "-", "nul", '"text"', "{}", " {\n}\n", "{", "{,}",
+            '{"version": 1, "k": 0, "sides": [], "k": 1}',
+            '{"version": 1, "k": 0, "k": 1, "sides": [}',
+            '{"version": 1, "k": 0, "sides": [[0]],}',
+            '{"version": 1, "k": 12345678901234567890123, "sides": [[0]]}',
+            text[:entry] + '"k": 1, "k": 2' + text[entry + 6:],
+            text[:entry] + '"k": -1' + text[entry + 6:],
+            text[:entry] + '"k": -1' + text[entry + 6:-30],
+            text.replace('"problem": 9', '"problem": 8').replace('"k": 1', '"k": -1', 1),
+            text.replace('"problem": 9', '"tree": 0'),
+            text.replace('"counterexamples": [', '"counterexamples": [],\n"x": [', 1),
+            text.replace("\n    {", "\n    {},{", 1),
+            '{"version": 1, "problem": 9, "counterexamples": [1, 2,]}',
+            '{"version": 1, "problem": 9, "counterexamples": [1 2]}',
+            '{"version": 1, "problem": 9, "counterexamples": {}}',
+            '{"version": 1, "problem": 9, "counterexamples": [{"a": 1, "a": 2}]}',
+        ]
+        for data in cases:
+            self.assert_same(path, data)
+        assert self.assert_same(path, text) == whole_text_load(path)
+
+    def test_entries_come_back_in_key_order(self, tmp_path, text):
+        # every object but the free-form corpus with its keys reversed
+        doc = json.loads(text, object_pairs_hook=lambda pairs: dict(
+            pairs if pairs[0][0] == "named" else reversed(pairs)
+        ))
+        path = write(tmp_path, doc)
+        loaded = load_document(path)
+        assert json.dumps(loaded, indent=2, ensure_ascii=False) + "\n" == text
+        save(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text(encoding="utf-8") == text
+
+    def test_the_text_is_never_whole(self, tmp_path, monkeypatch, min3, c4):
+        verdict = hunt(9, NamedCorpus((min3, c4)))
+        path = tmp_path / "verdict.json"
+        save(verdict, path)
+        held = []
+        more = io._Reader.more
+
+        def recording(reader):
+            done = more(reader)
+            held.append(len(reader.text))
+            return done
+
+        monkeypatch.setattr(io, "_CHUNK", 256)
+        monkeypatch.setattr(io._Reader, "more", recording)
+        assert load_document(path) == to_document(verdict)
+        assert len(held) > 10 and max(held) < path.stat().st_size / 4
+
+    def test_a_byte_that_is_not_utf8(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_CHUNK", 4)
+        head = '{"version": 1, "kind": "graph_cut", "vertices": ["é'.encode()
+        for bad, message in [
+            (b"\xff", "invalid start byte"),
+            (b"\xc3(", "invalid continuation byte"),
+            (b"\xe6\x97", "unexpected end of data"),
+        ]:
+            for pad in range(4):  # the bad byte at each place within a chunk
+                data = head + b"a" * pad + bad
+                if "end of data" not in message:
+                    data += b'"], "edges": []}'
+                path = tmp_path / "bad.json"
+                path.write_bytes(data)
+                with pytest.raises(SchemaError) as err:
+                    load_document(path)
+                assert str(err.value) == (
+                    f"{path} is not valid UTF-8: {message} at byte {len(head) + pad}"
+                )
+
+    def test_characters_split_across_chunks(self, tmp_path, monkeypatch):
+        labels = ["日本", "Ørsted", "😀"]
+        system = graph_cut_system(labels, [labels[:2], labels[1:]])
+        path = tmp_path / "system.json"
+        save(system, path)
+        for chunk in range(1, 9):
+            monkeypatch.setattr(io, "_CHUNK", chunk)
+            assert load_document(path) == to_document(system)
+            assert load_system(path).vertices == tuple(labels)

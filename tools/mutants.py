@@ -43,6 +43,7 @@ KERNEL_TESTS = (
 WRITER_TESTS = ("tests/test_io.py::TestByteFormat", "tests/test_io.py::TestWriter")
 GC_TESTS = ("tests/test_io.py::TestGcState",)
 STREAM_TESTS = ("tests/test_io.py::TestStreamedSave",)
+LOAD_TESTS = ("tests/test_io.py::TestStreamedLoad",)
 INTEGER_TESTS = ("tests/test_integer_inputs.py",)
 # the rules' soundness mutants drop valid families, which the leaf re-check
 # cannot see; the oracle sweeps and the corpus family pin must.  The node-count
@@ -375,9 +376,39 @@ MUTANTS = (
     ),
     Mutant(
         "loader-accepts-duplicate-keys", IO,
-        "json.loads(text, object_pairs_hook=_reject_duplicate_keys)",
-        "json.loads(text)",
+        "_SCAN = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys).scan_once",
+        "_SCAN = json.JSONDecoder().scan_once",
         ("tests/test_io.py::TestStrictIngest",),
+    ),
+    Mutant(
+        "loader-accepts-duplicate-top-level-keys", IO,
+        "doc = _reject_duplicate_keys(pairs)",
+        "doc = dict(pairs)",
+        ("tests/test_io.py::TestStrictIngest",),
+    ),
+    Mutant(
+        "refill-drops-the-carried-over-tail", IO,
+        "text[at:] + chunk",
+        "chunk",
+        LOAD_TESTS,
+    ),
+    Mutant(
+        "loader-accepts-trailing-data", IO,
+        '        if self.char():\n            self.fail("{}")\n',
+        "",
+        LOAD_TESTS,
+    ),
+    Mutant(
+        "error-position-relative-to-the-chunk", IO,
+        "char = self.start + local",
+        "char = local",
+        LOAD_TESTS,
+    ),
+    Mutant(
+        "loader-keeps-the-raw-entry", IO,
+        "item = check(item, None)",
+        "check(item, None)",
+        LOAD_TESTS,
     ),
 )
 
