@@ -32,23 +32,27 @@ newline, so ``save(load(path))`` reproduces the file byte for byte.  One
 emitter writes it, byte-equal to ``json.dumps(doc, indent=2,
 ensure_ascii=False)``, into a string for ``dumps`` and straight into the
 file for ``save``, one entry at a time, so a save never holds the whole
-text.  The schema checks and a trial emission of the free-form hunt corpus
-run before the file is opened, so a save they reject leaves the target as
-it was; an error while writing (a string UTF-8 cannot encode, a full disk)
-leaves the entries written so far.  The loader reads the file in 1 MiB
-chunks and decodes the top-level object member by member with the stdlib
-scanner, and an array of entries item by item, making each entry canonical
-as soon as it is decoded; so a load never holds the whole text, nor an array
-beside its canonical twin.  A file that is not JSON gets the message, line,
-column and char that ``json.loads`` of the whole text gives; one that is not
-UTF-8 gets the offset of its first bad byte.
+text.  The schema checks, which refuse a string UTF-8 cannot encode, and a
+trial emission and encoding of the free-form hunt corpus run before the file
+is opened, so a save they reject leaves the target as it was; an error while
+writing (a full disk, or a name or label of a toolkit object that UTF-8
+cannot encode) leaves the entries written so far.  The loader reads the file
+in 1 MiB chunks and decodes the top-level object member by member with the
+stdlib scanner, and an array of entries item by item, making each entry
+canonical as soon as it is decoded; so a load never holds the whole text,
+nor an array beside its canonical twin.  A file that is not JSON gets the
+message, line, column and char that ``json.loads`` of the whole text gives;
+one that is not UTF-8 gets the offset of its first bad byte.
 Building, parsing and validating a document pause the cyclic GC, which
 would rescan it while it is allocated.  Ingest is strict: unknown fields,
 duplicate keys, bad versions, wrong types, out-of-range elements and
 duplicate sides are all rejected.  Declared values that can be recomputed
 (orders, the k bound's sign) are verified rather than believed.  The loader
-validates its own fresh parse in place and keeps its lists; a dict given to
-``to_document`` or ``save`` is copied, never aliased or changed.
+validates its own fresh parse in place and keeps its lists, one per
+distinct side: equal sides, and equal system descriptors of a hunt verdict,
+within one loaded document are one shared object, so treat it as read-only
+or take ``to_document(doc)``, where each side is its own list.  A dict given
+to ``to_document`` or ``save`` is copied, never aliased or changed.
 """
 
 from __future__ import annotations
@@ -77,9 +81,11 @@ from .structures import VARIANTS, AxiomId, StructureKind, StructureReport
 
 _AXIOM_VALUES = tuple(a.value for a in AxiomId)
 _KIND_VALUES = tuple(k.value for k in StructureKind)
-# true while ``_read`` validates the parse it made itself, whose lists no
-# caller holds, so a valid side is kept as parsed instead of copied
-_OWN_PARSE = ContextVar("tanglekit.io own parse", default=False)
+# while ``_read`` validates the parse it made itself, whose lists no caller
+# holds, the memo of that one load: a valid side is kept as parsed, one list
+# per distinct side (keyed by its tuple), and a counterexample's system one
+# dict per distinct descriptor (keyed by its JSON text); None outside a load
+_OWN_PARSE = ContextVar("tanglekit.io own parse", default=None)
 
 
 def _reject_duplicate_keys(pairs):
@@ -305,9 +311,21 @@ def _instance_of(cls, noun):
 
 
 _bool = _instance_of(bool, "a boolean")
-_str = _instance_of(str, "a string")
 _list = _instance_of(list, "an array")
 _obj = _instance_of(dict, "an object")
+
+
+def _str(value, where):
+    """A string the UTF-8 file can hold: a lone surrogate, which a ``\\udc80``
+    escape or a surrogate-escaped file name gives, cannot be written."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{where} must be a string")
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(f"{where} is not encodable as UTF-8: {exc.reason}") from exc
+    return value
 
 
 def _one_of(*values, base=_str):
@@ -351,7 +369,8 @@ def _side(value, where):
                 break
             last = e
         else:
-            return value if _OWN_PARSE.get() else list(value)
+            memo = _OWN_PARSE.get()
+            return list(value) if memo is None else memo.setdefault(tuple(value), value)
     for i, e in enumerate(_list(value, where)):
         _int(e, f"{where}[{i}]", minimum=0)
     if len(set(value)) != len(value):
@@ -446,8 +465,18 @@ _AXIOM_ENTRY = {
     "element": _optional(_nat),
 }
 _UNMATCHED_ENTRY = {"kind": _one_of(*_KIND_VALUES), "sides": _sides}
+
+
+def _counterexample_system(value, where):
+    """A counterexample's system; within one load, equal descriptors are one
+    dict (the checks refuse 1.0 and true for 1, so equal means identical)."""
+    out = _system(value, where, nested=True)
+    memo = _OWN_PARSE.get()
+    return out if memo is None else memo.setdefault(json.dumps(out), out)
+
+
 _COUNTEREXAMPLE = {
-    "system": lambda value, where: _system(value, where, nested=True), "k": _nat,
+    "system": _counterexample_system, "k": _nat,
     "claim": _str, "sides": _sides, "failing_axiom": _one_of(*_AXIOM_VALUES),
     "witness": _sides,
 }
@@ -463,7 +492,7 @@ _ENTRIES = {
 def _corpus(value, where):
     """A hunt's corpus: any object, whose contents only the emitter checks."""
     _obj(value, where)
-    return value if _OWN_PARSE.get() else copy.deepcopy(value)
+    return value if _OWN_PARSE.get() is not None else copy.deepcopy(value)
 
 
 # identifying key -> (shape, fields), tried in this order; a document with
@@ -525,6 +554,14 @@ class _Sides(dict):
         return [self[m][:] for m in masks]  # each side its own list
 
 
+class _SharedSides(_Sides):
+    """The memo for a document that is written and dropped: a call lists the
+    memo's own lists, so equal sides are one list."""
+
+    def __call__(self, masks):
+        return [self[m] for m in masks]
+
+
 def _fill(fields, *values):
     """An entry: the keys of its check table, in that order, with ``values``."""
     return dict(zip(fields, values, strict=True))
@@ -538,8 +575,14 @@ def to_document(obj) -> dict:
     """Canonical JSON-shaped dict for any toolkit object or parsed dict.
 
     Keys come in the order of the check tables above, which the reader walks.
+    Each side is its own list, so the result is the caller's to edit.
     """
-    side_lists = _Sides()  # sides repeat across a verdict's entries
+    return _to_document(obj, _Sides())
+
+
+def _to_document(obj, side_lists) -> dict:
+    """``to_document`` with ``side_lists`` listing the sides, which repeat
+    across a verdict's entries."""
     if isinstance(obj, dict):
         return _canon_document(obj)
     if isinstance(obj, ConnectivitySystem):
@@ -677,7 +720,12 @@ def _text(doc) -> str:
 
 
 def _documents(obj):
-    return [to_document(o) for o in obj] if isinstance(obj, list) else to_document(obj)
+    """The document or list of them that ``dumps`` and ``save`` write and drop,
+    so equal sides are one list."""
+    side_lists = _SharedSides()
+    if isinstance(obj, list):
+        return [_to_document(o, side_lists) for o in obj]
+    return _to_document(obj, side_lists)
 
 
 def dumps(obj) -> str:
@@ -691,14 +739,14 @@ def save(document, path) -> None:
 
     ``document`` is one toolkit object or parsed dict, or a list of them.  The
     text goes to the file as it is emitted.  The checks and a corpus JSON
-    cannot hold raise before the file is opened, leaving the target as it
-    was; an error while writing leaves the part written so far.
+    or UTF-8 cannot hold raise before the file is opened, leaving the target
+    as it was; an error while writing leaves the part written so far.
     """
     with _gc_paused():
         doc = _documents(document)
         for d in doc if isinstance(doc, list) else (doc,):
             if "corpus" in d:
-                _text(d["corpus"])  # the one field no check types
+                _text(d["corpus"]).encode("utf-8")  # the one field no check types
         with Path(path).open("w", encoding="utf-8") as file:
             _write(doc, file.write)
             file.write("\n")
@@ -706,7 +754,7 @@ def save(document, path) -> None:
 
 
 def _read(path) -> dict:
-    token = _OWN_PARSE.set(True)
+    token = _OWN_PARSE.set({})
     try:
         with _gc_paused():
             try:

@@ -145,6 +145,17 @@ class TestSystemDocuments:
             with pytest.raises(SchemaError):
                 load_system(write(tmp_path, doc))
 
+    def test_a_string_utf8_cannot_encode(self, tmp_path, min3):
+        bad = "b\udc80"  # a lone surrogate; json.dumps writes it as an escape
+        system = {"version": 1, "kind": "graph_cut", "vertices": ["a", bad],
+                  "edges": [["a", bad]]}
+        with pytest.raises(SchemaError, match=r"^vertices\[1\] is not encodable as UTF-8"):
+            load_document(write(tmp_path, system))
+        verdict = to_document(hunt(9, NamedCorpus((min3,))))
+        verdict["counterexamples"][0]["claim"] = bad
+        with pytest.raises(SchemaError, match=r"counterexamples\[0\]\.claim is not encodable"):
+            load_document(write(tmp_path, verdict))
+
     def test_family_document_is_not_a_system(self, tmp_path):
         path = write(tmp_path, {"version": 1, "k": 0, "sides": [[0]]})
         with pytest.raises(SchemaError, match="does not hold a system"):
@@ -585,6 +596,13 @@ class _SetCorpus(NamedCorpus):
         return {"named": {s.name for s in self.members}}
 
 
+class _SurrogateCorpus(NamedCorpus):
+    """A corpus whose description holds a string UTF-8 cannot encode."""
+
+    def describe(self):
+        return {"named": ["b\udc80"]}
+
+
 def _lists(value):
     """Every list in a JSON tree, by identity (the tree keeps them alive)."""
     found = {}
@@ -603,11 +621,15 @@ class TestStreamedSave:
     def failing_saves(self, min3):
         verdict = hunt(9, _SetCorpus((min3,)))
         assert verdict.counterexamples
+        graph = {"version": 1, "kind": "graph_cut", "vertices": ["a", "b\udc80"],
+                 "edges": [["a", "b\udc80"]]}
         return [
             ({"version": 1, "payload": 3}, SchemaError, "not recognised"),
             ([min3, {"version": 1, "k": -1, "sides": []}], SchemaError, "k must be >= 0"),
             (verdict, TypeError, "set is not JSON serializable"),
             ([min3, verdict], TypeError, "set is not JSON serializable"),
+            (graph, SchemaError, r"vertices\[1\] is not encodable as UTF-8"),
+            (hunt(9, _SurrogateCorpus((min3,))), UnicodeEncodeError, "surrogates not allowed"),
         ]
 
     def test_a_failed_save_keeps_an_existing_target(self, tmp_path, min3):
@@ -664,8 +686,26 @@ class TestStreamedSave:
         assert sum(w.count('"failing_axiom"') for w in writes) == len(verdict.counterexamples)
 
 
+def _side_lists(doc):
+    """Every side of a hunt verdict document, hyperedges included, with repeats."""
+    return [
+        side
+        for ce in doc["counterexamples"]
+        for side in (*ce["sides"], *ce["witness"], *ce["system"].get("hyperedges", ()))
+    ]
+
+
+def _distinct(values, key):
+    """(distinct objects, distinct keys) among ``values``."""
+    return len({id(v) for v in values}), len({key(v) for v in values})
+
+
 class TestNoAliasing:
-    """The loader keeps its own parse; a caller's dict is copied, never shared."""
+    """The loader keeps its own parse, with equal sides and equal system
+    descriptors within one document as one shared object, so a loaded document
+    is read-only; ``to_document`` of it is the editable copy, each side its own
+    list, while ``copy.deepcopy`` keeps the sharing.  A caller's dict is copied,
+    never shared."""
 
     def documents(self, min3, c4):
         hyper = hyperedge_system(4, [(0, 1), (1, 2, 3)])
@@ -704,6 +744,40 @@ class TestNoAliasing:
         first["counterexamples"][0]["sides"][0].append(99)
         first["corpus"]["named"].append("x")
         assert second == load_document(path)
+
+    def test_a_load_shares_equal_sides_and_descriptors(self, tmp_path):
+        # two hyperedge systems with the same n, and the hyperedge [0, 1] in both
+        systems = (hyperedge_system(4, [(0, 1), (1, 2, 3)]),
+                   hyperedge_system(4, [(0, 1), (2, 3)]))
+        verdict = hunt(9, NamedCorpus(systems))
+        path = tmp_path / "verdict.json"
+        save(verdict, path)
+        loaded = load_document(path)
+        assert loaded == to_document(verdict)
+        sides = _side_lists(loaded)
+        lists, tuples = _distinct(sides, tuple)
+        assert lists == tuples < len(sides)
+        descriptors = [ce["system"] for ce in loaded["counterexamples"]]
+        assert _distinct(descriptors, json.dumps) == (2, 2) and len(descriptors) > 2
+        # the editable copy: every side its own list, every descriptor its own dict
+        copied = to_document(loaded)
+        assert copied == loaded
+        assert _distinct(_side_lists(copied), tuple)[0] == len(sides)
+        assert len({id(ce["system"]) for ce in copied["counterexamples"]}) == len(descriptors)
+        deep = copy.deepcopy(loaded)
+        assert deep == loaded and _distinct(_side_lists(deep), tuple) == (lists, tuples)
+
+    def test_the_sharing_in_save_does_not_leak(self, tmp_path, min3, c4):
+        verdict = self.documents(min3, c4)[0]
+        path = tmp_path / "verdict.json"
+        save(verdict, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == io.dumps(verdict)
+        doc = to_document(verdict)
+        assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        sides = _side_lists(doc)
+        lists, tuples = _distinct(sides, tuple)
+        assert lists == len(sides) > tuples
 
     def test_to_document_copies_the_hunt_corpus(self, min3):
         verdict = hunt(9, NamedCorpus((min3,)))

@@ -213,12 +213,12 @@ MUTANTS = (
         "save-opens-before-the-corpus-check", IO,
         "        for d in doc if isinstance(doc, list) else (doc,):\n"
         '            if "corpus" in d:\n'
-        '                _text(d["corpus"])  # the one field no check types\n'
+        '                _text(d["corpus"]).encode("utf-8")  # the one field no check types\n'
         '        with Path(path).open("w", encoding="utf-8") as file:\n',
         '        with Path(path).open("w", encoding="utf-8") as file:\n'
         "            for d in doc if isinstance(doc, list) else (doc,):\n"
         '                if "corpus" in d:\n'
-        '                    _text(d["corpus"])\n',
+        '                    _text(d["corpus"]).encode("utf-8")\n',
         STREAM_TESTS,
     ),
     Mutant(
@@ -229,9 +229,45 @@ MUTANTS = (
     ),
     Mutant(
         "copy-free-read-serves-to-document", IO,
-        'ContextVar("tanglekit.io own parse", default=False)',
-        'ContextVar("tanglekit.io own parse", default=True)',
+        'ContextVar("tanglekit.io own parse", default=None)',
+        'ContextVar("tanglekit.io own parse", default={})',
         ("tests/test_io.py::TestNoAliasing",),
+    ),
+    Mutant(
+        "load-memo-shared-across-loads", IO,
+        "token = _OWN_PARSE.set({})",
+        'token = _OWN_PARSE.set(_read.__dict__.setdefault("memo", {}))',
+        ("tests/test_io.py::TestNoAliasing",),
+    ),
+    Mutant(
+        "load-memo-key-drops-an-element", IO,
+        "memo.setdefault(tuple(value), value)",
+        "memo.setdefault(tuple(value[:-1]), value)",
+        ("tests/test_io.py::TestNoAliasing",),
+    ),
+    Mutant(
+        "descriptors-shared-by-kind-and-n", IO,
+        "memo.setdefault(json.dumps(out), out)",
+        'memo.setdefault((out["kind"], out.get("n")), out)',
+        ("tests/test_io.py::TestNoAliasing",),
+    ),
+    Mutant(
+        "to-document-shares-sides-as-save-does", IO,
+        "return _to_document(obj, _Sides())",
+        "return _to_document(obj, _SharedSides())",
+        ("tests/test_io.py::TestNoAliasing",),
+    ),
+    Mutant(
+        "loader-str-accepts-what-utf8-cannot-encode", IO,
+        "    if not value.isascii():\n",
+        "    if False:\n",
+        ("tests/test_io.py::TestSystemDocuments", "tests/test_io.py::TestStreamedSave"),
+    ),
+    Mutant(
+        "save-skips-encoding-the-corpus", IO,
+        '_text(d["corpus"]).encode("utf-8")',
+        '_text(d["corpus"])',
+        STREAM_TESTS,
     ),
     Mutant(
         "failing-array-not-checked-again-with-paths", IO,
