@@ -210,13 +210,19 @@ class VerificationReport:
         raise KeyError(name)
 
 
+def _report(mode: str, pairs_checked: int, witnesses: dict) -> VerificationReport:
+    """The report of each check's first offending masks, None where it passed."""
+    checks = (VerificationCheck(n, w is None, w or ()) for n, w in witnesses.items())
+    return VerificationReport(mode, pairs_checked, tuple(checks))
+
+
 def _verify_exhaustive(system: ConnectivitySystem) -> VerificationReport:
     t = system.table()
     size = t.size
     full = size - 1
     masks = np.arange(size, dtype=np.int64)
     comp = masks ^ full
-    witnesses: dict[str, tuple[int, ...] | None] = {n: None for n in CHECK_NAMES}
+    witnesses = dict.fromkeys(CHECK_NAMES)  # name -> first offending masks
 
     sym_bad = np.nonzero(t != t[::-1])[0]  # f(complement) read via reversed index
     if sym_bad.size:
@@ -240,11 +246,7 @@ def _verify_exhaustive(system: ConnectivitySystem) -> VerificationReport:
         ):
             break
 
-    checks = tuple(
-        VerificationCheck(name, witnesses[name] is None, witnesses[name] or ())
-        for name in CHECK_NAMES
-    )
-    report = VerificationReport("exhaustive", size * size, checks)
+    report = _report("exhaustive", size * size, witnesses)
     if report.passed:
         system.verified = True
     return report
@@ -280,7 +282,7 @@ def _verify_sampled(system: ConnectivitySystem, samples: int, seed: int) -> Veri
         chunks = _one_chunk_draw(system.n, samples, seed)
     else:
         chunks = _draw_chunks(system.n, samples, seed)
-    witnesses: dict[str, tuple[int, ...] | None] = {n: None for n in CHECK_NAMES}
+    witnesses = dict.fromkeys(CHECK_NAMES)  # name -> first offending masks
     for chunk in chunks:
         # one call per chunk: the appended last mask is the empty set
         values = system.evaluate_many(np.append(chunk, 0))
@@ -298,11 +300,7 @@ def _verify_sampled(system: ConnectivitySystem, samples: int, seed: int) -> Veri
                 witnesses[name] = tuple(int(m) for m in column)
         if all(w is not None for w in witnesses.values()):
             break
-    checks = tuple(
-        VerificationCheck(name, witnesses[name] is None, witnesses[name] or ())
-        for name in CHECK_NAMES
-    )
-    return VerificationReport("sampled", samples, checks)
+    return _report("sampled", samples, witnesses)
 
 
 def verify_axioms(

@@ -29,30 +29,30 @@ branch-width report   version, system, width, tree
 Sides and witnesses are sorted element lists; families list sides in
 ascending mask order.  Serialization is indent-2 UTF-8 with a trailing
 newline, so ``save(load(path))`` reproduces the file byte for byte.  One
-emitter writes it, byte-equal to ``json.dumps(doc, indent=2,
-ensure_ascii=False)``, into a string for ``dumps`` and straight into the
-file for ``save``, one entry at a time, so a save never holds the whole
-text.  The schema checks, which refuse a string UTF-8 cannot encode, and a
-trial emission and encoding of the free-form hunt corpus run before the file
-is opened, so a save they reject leaves the target as it was; an error while
-writing (a full disk, or a name or label of a toolkit object that UTF-8
-cannot encode) leaves the entries written so far.  The loader reads the file
-in 1 MiB chunks and decodes the top-level object member by member with the
-stdlib scanner, and an array of entries item by item, making each entry
-canonical as soon as it is decoded; so a load never holds the whole text,
-nor an array beside its canonical twin.  A file that is not JSON gets the
-message, line, column and char that ``json.loads`` of the whole text gives;
-one that is not UTF-8 gets the offset of its first bad byte.
-Building, parsing and validating a document pause the cyclic GC, which
-would rescan it while it is allocated.  Ingest is strict: unknown fields,
-duplicate keys, bad versions, wrong types, out-of-range elements and
-duplicate sides are all rejected.  Declared values that can be recomputed
-(orders, the k bound's sign) are verified rather than believed.  The loader
-validates its own fresh parse in place and keeps its lists, one per
-distinct side: equal sides, and equal system descriptors of a hunt verdict,
-within one loaded document are one shared object, so treat it as read-only
-or take ``to_document(doc)``, where each side is its own list.  A dict given
-to ``to_document`` or ``save`` is copied, never aliased or changed.
+emitter, byte-equal to ``json.dumps(doc, indent=2, ensure_ascii=False)``,
+writes it into a string for ``dumps`` and into the file for ``save`` entry
+by entry.  The schema checks, which refuse a string UTF-8 cannot encode (an
+object's names and vertex labels included), and a trial encoding of the
+free-form hunt corpus run before the file is opened, so a save they reject
+leaves the target as it was; a full disk leaves the entries written so far.
+The loader reads the file in 1 MiB chunks and decodes the top-level object
+member by member with the stdlib scanner, and an array of entries item by
+item, making each entry canonical as soon as it is decoded, so a load never
+holds the whole text.  A file that is not JSON gets the message, line,
+column and char that ``json.loads`` of the whole text gives; one that is
+not UTF-8 gets the offset of its first bad byte.  Ingest is strict: unknown
+fields, duplicate keys, bad versions, wrong types, out-of-range elements and
+duplicate sides are all rejected, and recomputable values (orders, the k
+bound's sign) are verified rather than believed.
+
+``load_document``, ``save`` and ``dumps`` each build their document in one
+context, which pauses the cyclic GC (it would rescan the document as it is
+allocated) and keeps one list per distinct side, parsed, a caller's or from
+a mask, and one dict per distinct counterexample system.  So a loaded
+document, validated in place, shares its equal sides and descriptors: treat
+it as read-only or take ``to_document(doc)``, which runs outside the context,
+copying a dict and listing each side anew.  ``save`` and ``dumps`` share a
+dict's equal sides and never change it.
 """
 
 from __future__ import annotations
@@ -81,11 +81,19 @@ from .structures import VARIANTS, AxiomId, StructureKind, StructureReport
 
 _AXIOM_VALUES = tuple(a.value for a in AxiomId)
 _KIND_VALUES = tuple(k.value for k in StructureKind)
-# while ``_read`` validates the parse it made itself, whose lists no caller
-# holds, the memo of that one load: a valid side is kept as parsed, one list
-# per distinct side (keyed by its tuple), and a counterexample's system one
-# dict per distinct descriptor (keyed by its JSON text); None outside a load
-_OWN_PARSE = ContextVar("tanglekit.io own parse", default=None)
+
+
+class _Memo(dict):
+    """The memo of one build: a side's tuple or mask -> the side's one list, and
+    a counterexample system's JSON text or object -> its descriptor's one dict."""
+
+    def __missing__(self, mask):
+        elements = mask_elements(mask)
+        self[mask] = elements = self.setdefault(tuple(elements), elements)
+        return elements
+
+
+_MEMO = ContextVar("tanglekit.io build memo", default=None)  # None outside a build
 
 
 def _reject_duplicate_keys(pairs):
@@ -98,16 +106,17 @@ def _reject_duplicate_keys(pairs):
 
 
 @contextmanager
-def _gc_paused():
-    """Pause the cyclic GC, which rescans a document's million containers as
-    they are allocated.  Documents are trees that reference counting frees and
-    the toolkit starts no threads; a GC the caller had disabled stays so.
-    """
+def _building():
+    """Build a document no caller holds: a fresh memo, and the cyclic GC paused
+    (documents are trees and the toolkit starts no threads; a disabled GC
+    stays so)."""
+    token = _MEMO.set(_Memo())
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
+        _MEMO.reset(token)
         if enabled:
             gc.enable()
 
@@ -369,7 +378,7 @@ def _side(value, where):
                 break
             last = e
         else:
-            memo = _OWN_PARSE.get()
+            memo = _MEMO.get()
             return list(value) if memo is None else memo.setdefault(tuple(value), value)
     for i, e in enumerate(_list(value, where)):
         _int(e, f"{where}[{i}]", minimum=0)
@@ -468,11 +477,21 @@ _UNMATCHED_ENTRY = {"kind": _one_of(*_KIND_VALUES), "sides": _sides}
 
 
 def _counterexample_system(value, where):
-    """A counterexample's system; within one load, equal descriptors are one
+    """A counterexample's system; within one build, equal descriptors are one
     dict (the checks refuse 1.0 and true for 1, so equal means identical)."""
     out = _system(value, where, nested=True)
-    memo = _OWN_PARSE.get()
+    memo = _MEMO.get()
     return out if memo is None else memo.setdefault(json.dumps(out), out)
+
+
+def _descriptor(system, where):
+    """A system object's descriptor; within one build, checked once per object."""
+    memo = _MEMO.get()
+    if memo is None:
+        return system_descriptor(system)
+    if system not in memo:
+        memo[system] = _counterexample_system(system_descriptor(system), where)
+    return memo[system]
 
 
 _COUNTEREXAMPLE = {
@@ -492,7 +511,7 @@ _ENTRIES = {
 def _corpus(value, where):
     """A hunt's corpus: any object, whose contents only the emitter checks."""
     _obj(value, where)
-    return value if _OWN_PARSE.get() is not None else copy.deepcopy(value)
+    return value if _MEMO.get() is not None else copy.deepcopy(value)
 
 
 # identifying key -> (shape, fields), tried in this order; a document with
@@ -543,23 +562,10 @@ def _canon_document(doc, done=()):
 # object -> document
 
 
-class _Sides(dict):
-    """Mask -> its elements, each converted once; a call lists fresh sides."""
-
-    def __missing__(self, mask):
-        self[mask] = elements = mask_elements(mask)
-        return elements
-
-    def __call__(self, masks):
-        return [self[m][:] for m in masks]  # each side its own list
-
-
-class _SharedSides(_Sides):
-    """The memo for a document that is written and dropped: a call lists the
-    memo's own lists, so equal sides are one list."""
-
-    def __call__(self, masks):
-        return [self[m] for m in masks]
+def _listed(masks):
+    """The sides of ``masks``: within one build the memo's lists, else new ones."""
+    memo = _MEMO.get()
+    return [mask_elements(m) for m in masks] if memo is None else [memo[m] for m in masks]
 
 
 def _fill(fields, *values):
@@ -572,53 +578,46 @@ def _document(shape_key, *values):
 
 
 def to_document(obj) -> dict:
-    """Canonical JSON-shaped dict for any toolkit object or parsed dict.
-
-    Keys come in the order of the check tables above, which the reader walks.
-    Each side is its own list, so the result is the caller's to edit.
-    """
-    return _to_document(obj, _Sides())
-
-
-def _to_document(obj, side_lists) -> dict:
-    """``to_document`` with ``side_lists`` listing the sides, which repeat
-    across a verdict's entries."""
+    """Canonical JSON-shaped dict for any toolkit object or parsed dict, keyed in
+    the order of the check tables above, which the reader walks.  An object's
+    names, and within one build its vertex labels, are checked.  Each side is
+    its own list and a dict is copied, so the result is the caller's to edit;
+    within one build, equal sides are one list."""
     if isinstance(obj, dict):
         return _canon_document(obj)
     if isinstance(obj, ConnectivitySystem):
-        return {"version": 1, **system_descriptor(obj)}
+        return {"version": 1, **_descriptor(obj, "system")}
     if isinstance(obj, SeparationFamily):
-        return _document("sides", obj.k, side_lists(obj.member_masks))
+        return _document("sides", obj.k, _listed(obj.member_masks))
     if isinstance(obj, StructureReport):
         axioms = [
-            _fill(_AXIOM_ENTRY, r.axiom.value, r.passed,
-                  side_lists(r.witness), r.element)
+            _fill(_AXIOM_ENTRY, r.axiom.value, r.passed, _listed(r.witness), r.element)
             for r in obj.results
         ]
         return _document("axioms", obj.kind.value, obj.k, obj.variant, axioms, obj.passed)
     if isinstance(obj, EquivalenceVerdict):
         unmatched = [
-            _fill(_UNMATCHED_ENTRY, kind, side_lists(f.member_masks))
+            _fill(_UNMATCHED_ENTRY, kind, _listed(f.member_masks))
             for kind, f in obj.unmatched
         ]
-        return _document("theorem", obj.theorem, obj.system, obj.k, obj.passed,
-                         dict(obj.counts), unmatched, obj.bw)
+        return _document("theorem", obj.theorem, _str(obj.system, "system"), obj.k,
+                         obj.passed, dict(obj.counts), unmatched, obj.bw)
     if isinstance(obj, HuntVerdict):
         counterexamples = [
-            _fill(_COUNTEREXAMPLE, system_descriptor(c.system), c.k, c.claim,
-                  side_lists(c.family.member_masks), c.failing_axiom.value,
-                  side_lists(c.witness))
-            for c in obj.counterexamples
+            _fill(_COUNTEREXAMPLE, _descriptor(c.system, f"counterexamples[{i}].system"),
+                  c.k, c.claim, _listed(c.family.member_masks), c.failing_axiom.value,
+                  _listed(c.witness))
+            for i, c in enumerate(obj.counterexamples)
         ]
-        return _document("problem", obj.problem, copy.deepcopy(obj.corpus),
+        return _document("problem", obj.problem, _corpus(obj.corpus, "corpus"),
                          obj.systems_examined, obj.structures_examined,
                          counterexamples, obj.status)
     if isinstance(obj, DualityReport):
         per_k = [_fill(_PER_K_ENTRY, *row) for row in obj.per_k]
-        return _document("per_k", obj.system, obj.bw, obj.max_tangle_order, per_k,
-                         obj.agrees, obj.degenerate)
+        return _document("per_k", _str(obj.system, "system"), obj.bw,
+                         obj.max_tangle_order, per_k, obj.agrees, obj.degenerate)
     if isinstance(obj, BranchDecomposition):
-        return _document("tree", obj.system.describe(), obj.width, obj.nested())
+        return _document("tree", _str(obj.system.describe(), "system"), obj.width, obj.nested())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -720,29 +719,22 @@ def _text(doc) -> str:
 
 
 def _documents(obj):
-    """The document or list of them that ``dumps`` and ``save`` write and drop,
-    so equal sides are one list."""
-    side_lists = _SharedSides()
-    if isinstance(obj, list):
-        return [_to_document(o, side_lists) for o in obj]
-    return _to_document(obj, side_lists)
+    """The document or list of them that ``dumps`` and ``save`` build."""
+    return [to_document(o) for o in obj] if isinstance(obj, list) else to_document(obj)
 
 
 def dumps(obj) -> str:
     """Canonical text of one object, or of a list of objects as a JSON array."""
-    with _gc_paused():
+    with _building():
         return _text(_documents(obj)) + "\n"
 
 
 def save(document, path) -> None:
-    """Write the canonical serialization (validating dicts on the way out).
-
-    ``document`` is one toolkit object or parsed dict, or a list of them.  The
-    text goes to the file as it is emitted.  The checks and a corpus JSON
-    or UTF-8 cannot hold raise before the file is opened, leaving the target
-    as it was; an error while writing leaves the part written so far.
-    """
-    with _gc_paused():
+    """Write the canonical text of one toolkit object or parsed dict, or a list
+    of them, to the file as it is emitted.  The schema checks, and a corpus
+    JSON or UTF-8 cannot hold, raise before the file is opened, leaving the
+    target as it was; an error while writing leaves the part written so far."""
+    with _building():
         doc = _documents(document)
         for d in doc if isinstance(doc, list) else (doc,):
             if "corpus" in d:
@@ -753,28 +745,20 @@ def save(document, path) -> None:
         doc = d = None  # freed here, or the first collection after the pause walks it
 
 
-def _read(path) -> dict:
-    token = _OWN_PARSE.set({})
-    try:
-        with _gc_paused():
-            try:
-                with open(path, "rb") as file:
-                    doc, done = _Reader(path, file).document()
-            except OSError as exc:
-                raise SchemaError(f"cannot read {path}: {exc}") from exc
-            return _canon_document(doc, done)
-    finally:
-        _OWN_PARSE.reset(token)
-
-
 def load_document(path) -> dict:
     """Parse, validate and canonicalize any toolkit JSON document."""
-    return _read(path)
+    with _building():
+        try:
+            with open(path, "rb") as file:
+                doc, done = _Reader(path, file).document()
+        except OSError as exc:
+            raise SchemaError(f"cannot read {path}: {exc}") from exc
+        return _canon_document(doc, done)
 
 
 def load_system(path) -> ConnectivitySystem:
     """Build a system from a file; explicit tables get full verification."""
-    payload = _read(path)
+    payload = load_document(path)
     if payload.get("kind") not in SYSTEM_KINDS:
         raise SchemaError(f"{path} does not hold a system document")
     payload.pop("version")
@@ -786,7 +770,7 @@ def load_system(path) -> ConnectivitySystem:
 
 def load_family(path, system: ConnectivitySystem) -> SeparationFamily:
     """Read a family against a known system; orders are recomputed."""
-    payload = _read(path)
+    payload = load_document(path)
     if "sides" not in payload or "kind" in payload:
         raise SchemaError(f"{path} does not hold a family document")
     masks = []

@@ -438,6 +438,9 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
     triples with nonempty first-side intersection (the F6 property proved
     for full ultrafilters)?  Problem 10: is the complement-dual of every
     weak ultrafilter a tangle and vice versa, as it is for ultrafilters?
+    For symmetric f, problem 10 is problem 9 read through reversal: every
+    tangle's dual is a weak ultrafilter, and a weak ultrafilter's dual is a
+    tangle iff it passes F6, else it fails at T3 (proof: README, hunts).
 
     Identical corpus and budget give an identical verdict.
     """

@@ -309,14 +309,28 @@ def test_criterion_09_hunters(corpus, capsys, tmp_path_factory):
             if report.passed or failing.passed:
                 recheck_failures.append((problem, ce["claim"], ce["k"]))
 
+    # the problem-10 lemma (see ``hunt``): hunt 10 reports exactly hunt 9's
+    # families, each as a weak ultrafilter whose dual fails T3; corpus systems
+    # can share a descriptor (min3 and min_card3), so compare as multisets
+    families = {
+        p: sorted((json.dumps(ce["system"]), ce["k"], tuple(map(tuple, ce["sides"])))
+                  for ce in verdicts[p]["counterexamples"])
+        for p in (9, 10)
+    }
+    lemma = families[9] == families[10] and all(
+        (ce["claim"], ce["failing_axiom"]) == ("weak_ultrafilter_dual_not_tangle", "T3")
+        for ce in verdicts[10]["counterexamples"]
+    )
+
     found = {p: len(verdicts[p]["counterexamples"]) for p in (9, 10)}
-    ok = identical and complete and not recheck_failures
+    ok = identical and complete and not recheck_failures and lemma
     announce(capsys, 9, ok,
              f"both hunts completed with byte-identical verdict files; "
              f"counterexamples found {found} and all re-fail the checkers")
     assert complete
     assert identical
     assert not recheck_failures
+    assert found[9] > 0 and lemma
 
 
 def test_criterion_10_plumbing(tmp_path, capsys):

@@ -623,6 +623,11 @@ class TestStreamedSave:
         assert verdict.counterexamples
         graph = {"version": 1, "kind": "graph_cut", "vertices": ["a", "b\udc80"],
                  "edges": [["a", "b\udc80"]]}
+        # a toolkit object's labels and names come from its caller
+        triangle = (["a", "b\udc80", "c"], [["a", "b\udc80"], ["b\udc80", "c"], ["a", "c"]])
+        labelled = hunt(9, NamedCorpus((graph_cut_system(*triangle, name="t"),)))
+        assert labelled.counterexamples
+        named = verify_theorem(12, graph_cut_system(["a", "b"], [["a", "b"]], name="g\udc80"), 0)
         return [
             ({"version": 1, "payload": 3}, SchemaError, "not recognised"),
             ([min3, {"version": 1, "k": -1, "sides": []}], SchemaError, "k must be >= 0"),
@@ -630,6 +635,11 @@ class TestStreamedSave:
             ([min3, verdict], TypeError, "set is not JSON serializable"),
             (graph, SchemaError, r"vertices\[1\] is not encodable as UTF-8"),
             (hunt(9, _SurrogateCorpus((min3,))), UnicodeEncodeError, "surrogates not allowed"),
+            (graph_cut_system(graph["vertices"], graph["edges"]), SchemaError,
+             r"system\.vertices\[1\] is not encodable as UTF-8"),
+            (labelled, SchemaError,
+             r"counterexamples\[0\]\.system\.vertices\[1\] is not encodable as UTF-8"),
+            ([min3, named], SchemaError, "system is not encodable as UTF-8"),
         ]
 
     def test_a_failed_save_keeps_an_existing_target(self, tmp_path, min3):

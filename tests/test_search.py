@@ -22,10 +22,12 @@ from tanglekit import (
     StructureKind,
     builtin_system,
     check_structure,
+    dual_family,
     enumerate_all,
     find_one,
     hunt,
     min_cardinality_system,
+    random_hyperedge_system,
     standard_corpus,
 )
 
@@ -320,6 +322,31 @@ class TestRestrictionLemma:
                             )
                             checked += 1
         assert checked == 24_257  # the pinned corpus families at k >= 1
+
+
+class TestProblemTenLemma:
+    def test_duals_of_tangles_and_weak_ultrafilters(self):
+        """For symmetric f at every k, the dual of a tangle is a weak
+        ultrafilter, and the dual of a weak ultrafilter is a tangle iff the
+        weak ultrafilter passes F6: problem 10 is problem 9 read through
+        reversal.  120 seeded hyperedge systems with 2 <= n <= 5."""
+        counts = {"tangles": 0, True: 0, False: 0}
+        for seed in range(120):
+            n = 2 + seed % 4
+            system = random_hyperedge_system(n, 1 + seed % 7, min(3, n), seed)
+            for k in range(system.max_order() + 1):
+                for fam in enumerate_all(StructureKind.TANGLE, system, k).families:
+                    dual = dual_family(fam)
+                    assert check_structure(system, k, dual, "weak_ultrafilter").passed
+                    counts["tangles"] += 1
+                wufs = enumerate_all(StructureKind.WEAK_ULTRAFILTER, system, k)
+                for fam, report in zip(wufs.families, wufs.reports):
+                    f6 = report.result(AxiomId.F6).passed
+                    dual = dual_family(fam)
+                    assert check_structure(system, k, dual, "tangle").passed == f6
+                    counts[f6] += 1
+        # both sides of the iff are met, and the F6 passers pair off with the tangles
+        assert counts == {"tangles": 441, True: 441, False: 3672}
 
 
 class TestFindOne:

@@ -229,14 +229,26 @@ MUTANTS = (
     ),
     Mutant(
         "copy-free-read-serves-to-document", IO,
-        'ContextVar("tanglekit.io own parse", default=None)',
-        'ContextVar("tanglekit.io own parse", default={})',
+        'ContextVar("tanglekit.io build memo", default=None)',
+        'ContextVar("tanglekit.io build memo", default=_Memo())',
         ("tests/test_io.py::TestNoAliasing",),
     ),
     Mutant(
         "load-memo-shared-across-loads", IO,
-        "token = _OWN_PARSE.set({})",
-        'token = _OWN_PARSE.set(_read.__dict__.setdefault("memo", {}))',
+        "token = _MEMO.set(_Memo())",
+        'token = _MEMO.set(_building.__dict__.setdefault("memo", _Memo()))',
+        ("tests/test_io.py::TestNoAliasing",),
+    ),
+    Mutant(
+        "build-memo-not-reset", IO,
+        "        _MEMO.reset(token)\n",
+        "",
+        ("tests/test_io.py::TestNoAliasing",),
+    ),
+    Mutant(
+        "to-document-inside-the-build-context", IO,
+        "def to_document(obj) -> dict:",
+        "@_building()\ndef to_document(obj) -> dict:",
         ("tests/test_io.py::TestNoAliasing",),
     ),
     Mutant(
@@ -253,9 +265,21 @@ MUTANTS = (
     ),
     Mutant(
         "to-document-shares-sides-as-save-does", IO,
-        "return _to_document(obj, _Sides())",
-        "return _to_document(obj, _SharedSides())",
+        "[mask_elements(m) for m in masks] if memo is None",
+        "[_listed.__dict__.setdefault(m, mask_elements(m)) for m in masks] if memo is None",
         ("tests/test_io.py::TestNoAliasing",),
+    ),
+    Mutant(
+        "save-skips-checking-an-object-descriptor", IO,
+        "memo[system] = _counterexample_system(system_descriptor(system), where)",
+        "memo[system] = system_descriptor(system)",
+        STREAM_TESTS,
+    ),
+    Mutant(
+        "save-skips-checking-an-object-name", IO,
+        '_str(obj.system, "system"), obj.k,',
+        "obj.system, obj.k,",
+        STREAM_TESTS,
     ),
     Mutant(
         "loader-str-accepts-what-utf8-cannot-encode", IO,
@@ -283,8 +307,9 @@ MUTANTS = (
     ),
     Mutant(
         "gc-pause-without-finally", IO,
-        "    try:\n        yield\n    finally:\n        if enabled:\n            gc.enable()",
-        "    yield\n    if enabled:\n        gc.enable()",
+        "    try:\n        yield\n    finally:\n        _MEMO.reset(token)\n"
+        "        if enabled:\n            gc.enable()",
+        "    yield\n    _MEMO.reset(token)\n    if enabled:\n        gc.enable()",
         GC_TESTS,
     ),
     Mutant(
@@ -350,8 +375,8 @@ MUTANTS = (
     ),
     Mutant(
         "counterexample-witness-from-family-sides", IO,
-        "side_lists(c.witness))",
-        "side_lists(c.family.member_masks))",
+        "_listed(c.witness))",
+        "_listed(c.family.member_masks))",
         ("tests/test_io.py::TestHuntDocuments",),
     ),
     Mutant(
