@@ -35,15 +35,16 @@ by entry.  The schema checks, which refuse a string UTF-8 cannot encode (an
 object's names and vertex labels included), and a trial encoding of the
 free-form hunt corpus run before the file is opened, so a save they reject
 leaves the target as it was; a full disk leaves the entries written so far.
-The loader reads the file in 1 MiB chunks and decodes the top-level object
-member by member with the stdlib scanner, and an array of entries item by
-item, making each entry canonical as soon as it is decoded, so a load never
-holds the whole text.  A file that is not JSON gets the message, line,
-column and char that ``json.loads`` of the whole text gives; one that is
-not UTF-8 gets the offset of its first bad byte.  Ingest is strict: unknown
-fields, duplicate keys, bad versions, wrong types, out-of-range elements and
-duplicate sides are all rejected, and recomputable values (orders, the k
-bound's sign) are verified rather than believed.
+The loader reads the file in chunks of 2**20 characters and decodes the
+top-level object member by member with the stdlib scanner, and an array of
+entries item by item, making each entry canonical as soon as it is decoded,
+so a load never holds the whole text.  A malformed file is read a second
+time, whole, from the same open file, for the offset of its first byte that
+is not UTF-8, else for the message, line, column and char ``json.loads``
+gives; a malformed pipe, which cannot be read again, gets "cannot read".
+Ingest is strict: unknown fields, duplicate keys, bad versions, wrong
+types, out-of-range elements and duplicate sides are rejected, and
+recomputable values (orders, the k bound's sign) verified, not believed.
 
 ``load_document``, ``save`` and ``dumps`` each build their document in one
 context, which pauses the cyclic GC (it would rescan the document as it is
@@ -57,7 +58,6 @@ dict's equal sides and never change it.
 
 from __future__ import annotations
 
-import codecs
 import copy
 import gc
 import json
@@ -65,7 +65,6 @@ import re
 from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from io import IncrementalNewlineDecoder
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -121,52 +120,30 @@ def _building():
             gc.enable()
 
 
-_CHUNK = 1 << 20  # bytes read at a time
+_CHUNK = 1 << 20  # characters read at a time
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace, as ``json`` skips it
 _SCAN = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys).scan_once
-_UTF8 = codecs.getincrementaldecoder("utf-8")
 
 
 class _Reader:
-    """One JSON document read from a binary file a chunk at a time.
-
-    ``text[at:]`` is the text not yet consumed, which a refill carries over;
-    newlines are translated as ``read_text`` translates them.  Values go to
-    the stdlib scanner.  At an error the rest of the file goes to
-    ``json.loads`` behind a stub, a short text that leaves the scanner in the
-    reader's state, and ``start``, ``lines`` and ``line_start`` place the
-    error in the whole text.
-    """
+    """One JSON document read from a text file a chunk at a time; ``text[at:]``
+    is the text not yet consumed, which a refill carries over."""
 
     def __init__(self, path, file):
         self.path, self.file = path, file
-        self.decoder = IncrementalNewlineDecoder(_UTF8(), translate=True)
-        self.text, self.at, self.start = "", 0, 0
-        self.lines = self.line_start = self.bytes = 0
-        self.eof = False
+        self.text, self.at, self.eof = "", 0, False
 
     def more(self) -> bool:
         """Append the next chunk, at least as long as the text held (so a long
         value is decoded a bounded number of times); False at the end."""
         if self.eof:
             return False
-        data = self.file.read(max(_CHUNK, len(self.text) - self.at))
-        self.eof = not data
         try:
-            chunk = self.decoder.decode(data, final=self.eof)
-        except UnicodeDecodeError as exc:
-            # exc.object is the bytes the decoder held back, then ``data``
-            byte = self.bytes - (len(exc.object) - len(data)) + exc.start
-            raise SchemaError(
-                f"{self.path} is not valid UTF-8: {exc.reason} at byte {byte}"
-            ) from exc
-        self.bytes += len(data)
-        text, at = self.text, self.at
-        self.lines += text.count("\n", 0, at)
-        last = text.rfind("\n", 0, at)
-        if last >= 0:
-            self.line_start = self.start + last + 1
-        self.text, self.at, self.start = text[at:] + chunk, 0, self.start + at
+            chunk = self.file.read(max(_CHUNK, len(self.text) - self.at))
+        except UnicodeDecodeError:
+            self.fail()
+        self.eof = not chunk
+        self.text, self.at = self.text[self.at:] + chunk, 0
         return True
 
     def char(self) -> str:
@@ -179,8 +156,8 @@ class _Reader:
             if not self.more():
                 return ""
 
-    def value(self, stub):
-        """Decode the value at ``at``; on failure raise ``fail(stub)``."""
+    def value(self):
+        """Decode the value at ``at``; on failure raise ``fail()``."""
         while True:
             text = self.text
             try:
@@ -188,69 +165,64 @@ class _Reader:
             except (StopIteration, json.JSONDecodeError):
                 if self.more():
                     continue
-                self.fail(stub)
+                self.fail()
             if end < len(text) or not self.more():  # a number may go on
                 self.at = end
                 return value
 
-    def fail(self, stub):
-        """Raise what ``json.loads`` raises for the whole text, whose part
-        before ``at`` was read without error."""
-        while self.more():
-            pass
+    def fail(self):
+        """Raise what ``json.loads`` raises for the whole file, read again from
+        its first byte; a pipe cannot seek, so it gets an ``OSError``."""
+        buffer = self.file.buffer
+        buffer.seek(0)
         try:
-            json.loads(stub + self.text[self.at:], object_pairs_hook=_reject_duplicate_keys)
-        except json.JSONDecodeError as exc:
-            local = self.at + exc.pos - len(stub)
-            char = self.start + local
-            line = self.lines + self.text.count("\n", 0, local) + 1
-            last = self.text.rfind("\n", 0, local)
-            column = local - last if last >= 0 else char - self.line_start + 1
+            text = buffer.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
             raise SchemaError(
-                f"{self.path} is not valid JSON: {exc.msg}: "
-                f"line {line} column {column} (char {char})"
+                f"{self.path} is not valid UTF-8: {exc.reason} at byte {exc.start}"
             ) from exc
+        try:
+            json.loads(text.replace("\r\n", "\n").replace("\r", "\n"),
+                       object_pairs_hook=_reject_duplicate_keys)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{self.path} is not valid JSON: {exc}") from exc
         raise SchemaError(f"{self.path}: top-level value must be an object")
+
+    def members(self, close):
+        """Step from the bracket at ``at`` to past its ``close``: yield the first
+        character of each member or item, with ``at`` on it."""
+        self.at += 1
+        if (c := self.char()) != close:
+            yield c
+            while (c := self.char()) == ",":
+                self.at += 1
+                yield self.char()
+            if c != close:
+                self.fail()
+        self.at += 1
 
     def document(self):
         """The top-level object and the keys of its canonical entry arrays."""
-        while not self.text and self.more():
-            pass
-        if self.text.startswith("\ufeff"):
-            self.fail("")
         if self.char() != "{":
-            self.fail(" ")  # a space, so a BOM after whitespace is no BOM
-        self.at += 1
-        pairs, done, stub = [], [], "{"
-        c = self.char()
-        while c != "}":
+            self.fail()
+        pairs, done = [], []
+        for c in self.members("}"):
             if c != '"':
-                self.fail(stub)
-            key = self.value(stub)
+                self.fail()
+            key = self.value()
             if self.char() != ":":
-                self.fail('{""')
+                self.fail()
             self.at += 1
-            self.char()
-            if key in _ENTRIES and self.text.startswith("[", self.at):
+            if self.char() == "[" and key in _ENTRIES:
                 value, canonical = self.entries(_ENTRIES[key])
                 if canonical:
                     done.append(key)
             else:
-                value = self.value('{"":')
+                value = self.value()
             pairs.append((key, value))
-            c = self.char()
-            if c == ",":
-                self.at += 1
-                stub = '{"":null,'
-                if (c := self.char()) == "}":
-                    self.fail(stub)
-            elif c != "}":
-                self.fail('{"":null')
-        self.at += 1
-        doc = _reject_duplicate_keys(pairs)
         if self.char():
-            self.fail("{}")
-        return doc, done
+            self.fail()
+        return _reject_duplicate_keys(pairs), done
 
     def entries(self, check):
         """An array made canonical item by item, and whether all of it was.
@@ -258,26 +230,15 @@ class _Reader:
         From the first item ``check`` rejects on, items stay as parsed, for
         the document's check to report in its own order.
         """
-        self.at += 1
-        items, canonical, stub = [], True, "["
-        c = self.char()
-        while c != "]":
-            item = self.value(stub)
+        items, canonical = [], True
+        for _ in self.members("]"):
+            item = self.value()
             if canonical:
                 try:
                     item = check(item, None)
                 except SchemaError:
                     canonical = False
             items.append(item)
-            c = self.char()
-            if c == ",":
-                self.at += 1
-                stub = "[null,"
-                if (c := self.char()) == "]":
-                    self.fail(stub)
-            elif c != "]":
-                self.fail("[null")
-        self.at += 1
         return items, canonical
 
 
@@ -749,7 +710,7 @@ def load_document(path) -> dict:
     """Parse, validate and canonicalize any toolkit JSON document."""
     with _building():
         try:
-            with open(path, "rb") as file:
+            with open(path, encoding="utf-8") as file:
                 doc, done = _Reader(path, file).document()
         except OSError as exc:
             raise SchemaError(f"cannot read {path}: {exc}") from exc

@@ -4,10 +4,15 @@ import copy
 import gc
 import hashlib
 import json
+import os
+import signal
+import threading
+from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +41,7 @@ from tanglekit import (
     verify_branchwidth_duality,
     verify_theorem,
 )
+from tanglekit.cli import main
 
 MIN3_TABLE = [0, 1, 1, 1, 1, 1, 1, 0]
 # side elements that are not non-negative integers; 1.0 == 1 and True == 1
@@ -943,3 +949,88 @@ class TestStreamedLoad:
             monkeypatch.setattr(io, "_CHUNK", chunk)
             assert load_document(path) == to_document(system)
             assert load_system(path).vertices == tuple(labels)
+
+
+class TestErrorPath:
+    """A malformed file is read again, whole, from its first byte: decoded
+    first, then parsed, so a bad byte is reported wherever the reader
+    stopped."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
+    def test_a_bad_byte_after_the_syntax_error(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(io, "_CHUNK", chunk)
+        # the doubled comma comes 64 KiB ahead of the bad byte
+        head = b'{"version": 1,, "k": 0, "sides": [' + b" " * (1 << 16)
+        path = tmp_path / "doc.json"
+        path.write_bytes(head + b" ]}")
+        with pytest.raises(SchemaError) as err:
+            load_document(path)
+        assert str(err.value) == (
+            f"{path} is not valid JSON: Expecting property name enclosed in double "
+            "quotes: line 1 column 15 (char 14)"
+        )
+        path.write_bytes(head + b"\xff]}")
+        with pytest.raises(SchemaError) as err:
+            load_document(path)
+        assert str(err.value) == (
+            f"{path} is not valid UTF-8: invalid start byte at byte {len(head)}"
+        )
+
+
+@contextmanager
+def pipe_holding(tmp_path, data, seconds=10):
+    """A named pipe that one thread opens, fills with ``data`` and closes; the
+    block fails if it runs ``seconds`` (a reader that opens the pipe again
+    would wait for a writer forever)."""
+    path = tmp_path / "doc.fifo"
+    os.mkfifo(path)
+
+    def write():
+        try:
+            with open(path, "wb") as pipe:
+                pipe.write(data)
+        except BrokenPipeError:  # the reader closed its end first
+            pass
+
+    def expire(signum, frame):
+        pytest.fail(f"reading the pipe took over {seconds} s")
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield path
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        writer.join(seconds)
+    assert not writer.is_alive()
+
+
+class TestPipeInput:
+    """A pipe is read once: a valid document loads from it as from a file, and
+    a malformed one, which cannot be read again, raises instead of blocking."""
+
+    FAMILY = b'{"version": 1, "k": 1, "sides": [[], [0]]}\n'
+    MALFORMED = b'{"version": 1, "k": 1, "sides": [[], [0],]}\n'
+
+    def test_a_valid_document_loads(self, tmp_path, min3):
+        with pipe_holding(tmp_path, self.FAMILY) as path:
+            family = load_family(path, min3)
+        assert family.member_masks == SeparationFamily.from_masks(min3, 1, [0, 1]).member_masks
+
+    def test_a_malformed_document_cannot_be_read(self, tmp_path):
+        with pipe_holding(tmp_path, self.MALFORMED) as path:
+            with pytest.raises(SchemaError) as err:
+                load_document(path)
+        message = str(err.value)
+        assert message.startswith(f"cannot read {path}: ") and "not seekable" in message
+
+    def test_check_exits_two(self, tmp_path):
+        with pipe_holding(tmp_path, self.MALFORMED) as path:
+            result = CliRunner().invoke(main, [
+                "check", "--system", "min3", "--family", str(path), "--kind", "tangle",
+            ])
+        assert result.exit_code == 2
+        assert f"cannot read {path}" in result.output

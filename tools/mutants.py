@@ -443,27 +443,34 @@ MUTANTS = (
     ),
     Mutant(
         "loader-accepts-duplicate-top-level-keys", IO,
-        "doc = _reject_duplicate_keys(pairs)",
-        "doc = dict(pairs)",
+        "return _reject_duplicate_keys(pairs), done",
+        "return dict(pairs), done",
         ("tests/test_io.py::TestStrictIngest",),
     ),
     Mutant(
         "refill-drops-the-carried-over-tail", IO,
-        "text[at:] + chunk",
+        "self.text[self.at:] + chunk",
         "chunk",
         LOAD_TESTS,
     ),
     Mutant(
         "loader-accepts-trailing-data", IO,
-        '        if self.char():\n            self.fail("{}")\n',
+        "        if self.char():\n            self.fail()\n",
         "",
         LOAD_TESTS,
     ),
     Mutant(
-        "error-position-relative-to-the-chunk", IO,
-        "char = self.start + local",
-        "char = local",
+        "malformed-file-read-without-newline-translation", IO,
+        'json.loads(text.replace("\\r\\n", "\\n").replace("\\r", "\\n"),',
+        "json.loads(text,",
         LOAD_TESTS,
+    ),
+    Mutant(
+        "utf8-error-escapes-unwrapped", IO,
+        "        try:\n            chunk = self.file.read(max(_CHUNK, len(self.text) - self.at))\n"
+        "        except UnicodeDecodeError:\n            self.fail()\n",
+        "        chunk = self.file.read(max(_CHUNK, len(self.text) - self.at))\n",
+        ("tests/test_io.py::TestStreamedLoad::test_a_byte_that_is_not_utf8",),
     ),
     Mutant(
         "loader-keeps-the-raw-entry", IO,
