@@ -35,7 +35,7 @@ by entry.  The schema checks, which refuse a string UTF-8 cannot encode (an
 object's names and vertex labels included), and a trial encoding of the
 free-form hunt corpus run before the file is opened, so a save they reject
 leaves the target as it was; a full disk leaves the entries written so far.
-The loader reads the file in chunks of 2**20 characters and decodes the
+The loader reads the file in chunks of 2**16 characters and decodes the
 top-level object member by member with the stdlib scanner, and an array of
 entries item by item, making each entry canonical as soon as it is decoded,
 so a load never holds the whole text.  A malformed file is read a second
@@ -44,16 +44,21 @@ is not UTF-8, else for the message, line, column and char ``json.loads``
 gives; a malformed pipe, which cannot be read again, gets "cannot read".
 Ingest is strict: unknown fields, duplicate keys, bad versions, wrong
 types, out-of-range elements and duplicate sides are rejected, and
-recomputable values (orders, the k bound's sign) verified, not believed.
+recomputable values (orders, the k bound's sign) verified, not believed.  A
+counterexample's system is built, once per distinct descriptor in a build,
+and its sides and witness checked against that system's n.
 
 ``load_document``, ``save`` and ``dumps`` each build their document in one
 context, which pauses the cyclic GC (it would rescan the document as it is
 allocated) and keeps one list per distinct side, parsed, a caller's or from
-a mask, and one dict per distinct counterexample system.  So a loaded
-document, validated in place, shares its equal sides and descriptors: treat
-it as read-only or take ``to_document(doc)``, which runs outside the context,
-copying a dict and listing each side anew.  ``save`` and ``dumps`` share a
-dict's equal sides and never change it.
+a mask, and one dict per distinct counterexample system; of a parsed or a
+caller's document it also keeps one list per distinct witness and one string
+per distinct claim, and an enumerated field becomes the toolkit's own
+constant.  So a loaded document, validated in place, shares its equal sides,
+witnesses, descriptors and strings: treat it as read-only or take
+``to_document(doc)``, which runs outside the context, copying a dict and
+listing each side and witness anew.  ``save`` and ``dumps`` share a dict's
+equal sides and never change it.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 
 from .connectivity import (
@@ -83,8 +89,10 @@ _KIND_VALUES = tuple(k.value for k in StructureKind)
 
 
 class _Memo(dict):
-    """The memo of one build: a side's tuple or mask -> the side's one list, and
-    a counterexample system's JSON text or object -> its descriptor's one dict."""
+    """The memo of one build: a side's tuple or mask -> the side's one list, a
+    witness's tuple of side tuples -> its one list, a counterexample system's
+    JSON text or object -> its descriptor's one dict, and ("text", a string)
+    -> that string's one object."""
 
     def __missing__(self, mask):
         elements = mask_elements(mask)
@@ -120,7 +128,9 @@ def _building():
             gc.enable()
 
 
-_CHUNK = 1 << 20  # characters read at a time
+# characters read at a time: a load's transient is 0.5 MB at 2**16, 0.2 MB at
+# 2**12 and 5 MB at 2**20 (tracemalloc, corpus problem-9 verdict)
+_CHUNK = 1 << 16
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace, as ``json`` skips it
 _SCAN = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys).scan_once
 
@@ -299,11 +309,15 @@ def _str(value, where):
 
 
 def _one_of(*values, base=_str):
-    """Check for an enum field; ``base`` keeps it type-strict (11.0 is no 11)."""
+    """Check for an enum field, giving its constant; ``base`` keeps it
+    type-strict (11.0 is no 11)."""
+    constants = dict(zip(values, values))
+
     def check(value, where):
-        if base(value, where) not in values:
+        constant = constants.get(base(value, where))
+        if constant is None:
             raise SchemaError(f"unknown {where} {value!r}")
-        return value
+        return constant
     return check
 
 
@@ -352,10 +366,31 @@ _sides = _array_of(_side)
 
 
 def _family_sides(value, where):
+    """A family's sides, none repeated; within one build, equal sides are one
+    list, so their ids tell them apart."""
     sides = _sides(value, where)
-    if len({tuple(s) for s in sides}) != len(sides):
+    keys = map(tuple, sides) if _MEMO.get() is None else map(id, sides)
+    if len(set(keys)) != len(sides):
         raise SchemaError(f"{where} contains a duplicate")
     return sides
+
+
+def _witness(value, where):
+    """A witness: sides in any order, repeats allowed.  Within one build, equal
+    witnesses are one list, keyed by their tuple of side tuples; of the memo's
+    other keys only the empty side's equals one, the empty witness's, and its
+    list is equal too."""
+    sides = _sides(value, where)
+    memo = _MEMO.get()
+    return sides if memo is None else memo.setdefault(tuple(map(tuple, sides)), sides)
+
+
+def _shared_str(value, where):
+    """A free-form string; within one build, equal ones are one string, keyed
+    apart from the descriptor texts the memo also holds."""
+    value = _str(value, where)
+    memo = _MEMO.get()
+    return value if memo is None else memo.setdefault(("text", value), value)
 
 
 def _pair(value, where):
@@ -431,41 +466,85 @@ def _system(doc, where="system", nested=False):
 
 
 _AXIOM_ENTRY = {
-    "id": _one_of(*_AXIOM_VALUES), "pass": _bool, "witness": _sides,
+    "id": _one_of(*_AXIOM_VALUES), "pass": _bool, "witness": _witness,
     "element": _optional(_nat),
 }
-_UNMATCHED_ENTRY = {"kind": _one_of(*_KIND_VALUES), "sides": _sides}
+_UNMATCHED_ENTRY = {"kind": _one_of(*_KIND_VALUES), "sides": _family_sides}
+
+
+def _built(descriptor, where):
+    """``descriptor``, once ``build_system`` accepts it as ``load_system`` would."""
+    try:
+        build_system(descriptor)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    return descriptor
 
 
 def _counterexample_system(value, where):
-    """A counterexample's system; within one build, equal descriptors are one
-    dict (the checks refuse 1.0 and true for 1, so equal means identical)."""
+    """A counterexample's system, built to check it; within one build, built
+    once per distinct descriptor, and equal descriptors are one dict (the
+    checks refuse 1.0 and true for 1, so equal means identical)."""
     out = _system(value, where, nested=True)
     memo = _MEMO.get()
-    return out if memo is None else memo.setdefault(json.dumps(out), out)
+    if memo is None:
+        return _built(out, where)
+    text = json.dumps(out)
+    if text not in memo:
+        memo[text] = _built(out, where)
+    return memo[text]
 
 
 def _descriptor(system, where):
-    """A system object's descriptor; within one build, checked once per object."""
+    """A system object's descriptor; within one build, checked once per object,
+    and shared as a counterexample's is (the object is built already)."""
     memo = _MEMO.get()
     if memo is None:
         return system_descriptor(system)
     if system not in memo:
-        memo[system] = _counterexample_system(system_descriptor(system), where)
+        out = _system(system_descriptor(system), where, nested=True)
+        memo[system] = memo.setdefault(json.dumps(out), out)
     return memo[system]
+
+
+_LAST = itemgetter(-1)
+
+
+def _in_range(sides, n, where):
+    """Refuse the first element >= n of ``sides``, each a checked side."""
+    # a side ascends, so its last element is its largest
+    if max(map(_LAST, filter(None, sides)), default=-1) >= n:
+        i, e = next((i, e) for i, side in enumerate(sides) for e in side if e >= n)
+        raise SchemaError(f"{where}[{i}]: element {e} out of range for n={n}")
+
+
+# the field whose length is a system's ground-set size; other kinds store n
+_GROUND_FIELD = {"graph_cut": "vertices", "graph_boundary": "edges"}
+
+
+def _counterexample(value, where):
+    """A counterexample whose sides and witness are subsets of its system's
+    ground set; its sides repeat none."""
+    out = _walk(value, _COUNTEREXAMPLE, where, nested=True)
+    system = out["system"]
+    field = _GROUND_FIELD.get(system["kind"])
+    n = system["n"] if field is None else len(system[field])
+    _in_range(out["sides"], n, f"{where}.sides")
+    _in_range(out["witness"], n, f"{where}.witness")
+    return out
 
 
 _COUNTEREXAMPLE = {
     "system": _counterexample_system, "k": _nat,
-    "claim": _str, "sides": _sides, "failing_axiom": _one_of(*_AXIOM_VALUES),
-    "witness": _sides,
+    "claim": _shared_str, "sides": _family_sides, "failing_axiom": _one_of(*_AXIOM_VALUES),
+    "witness": _witness,
 }
 _PER_K_ENTRY = {"k": _nat, "tangle_exists": _bool, "matches": _bool}
 # each array of entries by its key, which no other shape uses; the reader
 # checks its items one by one as it decodes them
 _ENTRIES = {
     "axioms": _entry(_AXIOM_ENTRY), "unmatched": _entry(_UNMATCHED_ENTRY),
-    "counterexamples": _entry(_COUNTEREXAMPLE), "per_k": _entry(_PER_K_ENTRY),
+    "counterexamples": _counterexample, "per_k": _entry(_PER_K_ENTRY),
 }
 
 
@@ -734,12 +813,8 @@ def load_family(path, system: ConnectivitySystem) -> SeparationFamily:
     payload = load_document(path)
     if "sides" not in payload or "kind" in payload:
         raise SchemaError(f"{path} does not hold a family document")
-    masks = []
-    for i, side in enumerate(payload["sides"]):
-        if side and side[-1] >= system.n:  # sides ascend: the last is the largest
-            e = next(e for e in side if e >= system.n)
-            raise SchemaError(f"sides[{i}]: element {e} out of range for n={system.n}")
-        masks.append(sum(1 << e for e in side))
+    _in_range(payload["sides"], system.n, "sides")
+    masks = [sum(1 << e for e in side) for side in payload["sides"]]
     try:
         return SeparationFamily.from_masks(system, payload["k"], masks)
     except ValueError as exc:

@@ -442,7 +442,8 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
     tangle's dual is a weak ultrafilter, and a weak ultrafilter's dual is a
     tangle iff it passes F6, else it fails at T3 (proof: README, hunts).
 
-    Identical corpus and budget give an identical verdict.
+    Identical corpus and budget give an identical verdict, in which equal
+    member-mask tuples and witnesses are one tuple each.
     """
     if check_int(problem, "problem") not in PROBLEMS:
         raise ValueError(f"problem must be {' or '.join(map(str, PROBLEMS))}")
@@ -452,6 +453,15 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
     budget = budget or SearchBudget()
     systems = corpus.systems()
     counterexamples = []
+    shared = {}  # a tuple of masks -> its one tuple in this verdict
+
+    def found(fam, claim, axiom, witness):
+        masks = shared.setdefault(fam.member_masks, fam.member_masks)
+        counterexamples.append(Counterexample(
+            system, k, claim, SeparationFamily(system, k, masks), axiom,
+            shared.setdefault(witness, witness),
+        ))
+
     systems_examined = 0
     structures_examined = 0
     cut = False
@@ -476,10 +486,8 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
                 for fam, report in zip(wufs.families, wufs.reports):
                     f6 = report.result(AxiomId.F6)
                     if not f6.passed:
-                        counterexamples.append(Counterexample(
-                            system, k, "weak_ultrafilter_triple_intersection",
-                            fam, AxiomId.F6, f6.witness,
-                        ))
+                        found(fam, "weak_ultrafilter_triple_intersection",
+                              AxiomId.F6, f6.witness)
                 continue
             tangles = enumerate_all(StructureKind.TANGLE, system, k, budget)
             if not tangles.complete:
@@ -496,9 +504,7 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
                     dual = SeparationFamily.from_masks(system, k, fam.dual_masks())
                     report = check_structure(system, k, dual, dual_kind)
                     fail = report.failures()[0]
-                    counterexamples.append(Counterexample(
-                        system, k, claim, fam, fail.axiom, fail.witness,
-                    ))
+                    found(fam, claim, fail.axiom, fail.witness)
 
     if cut:
         status = HUNT_BUDGET

@@ -297,6 +297,15 @@ class TestVerdictDocuments:
             with pytest.raises(SchemaError):
                 load_document(write(tmp_path, doc))
 
+    def test_unmatched_sides_repeat_none(self, tmp_path, min3):
+        good = to_document(verify_theorem(12, min3, 0))
+        doc = {**good, "unmatched": [{"kind": "linear_tangle", "sides": [[0, 1, 2]] * 2}]}
+        message = r"^unmatched\[0\]\.sides contains a duplicate$"
+        with pytest.raises(SchemaError, match=message):
+            load_document(write(tmp_path, doc))
+        with pytest.raises(SchemaError, match=message):
+            to_document(doc)
+
 
 class TestHuntDocuments:
     def test_shape(self, min3):
@@ -348,6 +357,54 @@ class TestHuntDocuments:
         ):
             with pytest.raises(SchemaError):
                 load_document(write(tmp_path, doc))
+
+    def test_counterexamples_are_checked_against_their_system(self, tmp_path, min3):
+        good = to_document(hunt(9, NamedCorpus((min3,))))
+        ce = good["counterexamples"][0]
+        for bad, message in [
+            ({**ce, "sides": [*ce["sides"], [0, 2]]}, "sides contains a duplicate"),
+            ({**ce, "sides": [[0, 1], [0, 3]]}, r"sides\[1\]: element 3 out of range for n=3"),
+            ({**ce, "sides": [[9]]}, r"sides\[0\]: element 9 out of range for n=3"),
+            ({**ce, "witness": [[0, 1], [2, 3]]},
+             r"witness\[1\]: element 3 out of range for n=3"),
+            ({**ce, "system": {"kind": "hyperedge_boundary", "n": 4, "hyperedges": [[0, 99]]}},
+             r"system: hyperedge \[0, 99\] has element 99 outside 0\.\.3"),
+        ]:
+            doc = {**good, "counterexamples": [ce, bad]}
+            message = rf"^counterexamples\[1\]\.{message}$"
+            with pytest.raises(SchemaError, match=message):
+                load_document(write(tmp_path, doc))
+            with pytest.raises(SchemaError, match=message):
+                to_document(doc)
+
+    def test_graph_systems_count_their_ground_set(self, tmp_path, min3):
+        # four vertices and one edge: a cut's ground set is the vertices, a
+        # boundary's the edges
+        good = to_document(hunt(9, NamedCorpus((min3,))))
+        graph = {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"]]}
+        cut = {**good["counterexamples"][0], "system": {"kind": "graph_cut", **graph},
+               "sides": [[3]], "witness": [[0, 3]]}
+        doc = {**good, "counterexamples": [cut]}
+        assert load_document(write(tmp_path, doc)) == to_document(doc) == doc
+        boundary = {**cut, "system": {"kind": "graph_boundary", **graph}}
+        with pytest.raises(SchemaError, match=(
+            r"^counterexamples\[0\]\.sides\[0\]: element 3 out of range for n=1$"
+        )):
+            load_document(write(tmp_path, {**good, "counterexamples": [boundary]}))
+
+    def test_each_distinct_descriptor_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(descriptor, **kwargs):
+            built.append(json.dumps(descriptor))
+            return build_system(descriptor, **kwargs)
+
+        monkeypatch.setattr(io, "build_system", counted)
+        path = tmp_path / "verdict.json"
+        save(hunt(9, HuntCorpus(sizes=(4, 4, 5, 5), base_seed=3)), path)
+        assert built == []  # an object's descriptor is built already
+        texts = [json.dumps(ce["system"]) for ce in load_document(path)["counterexamples"]]
+        assert sorted(built) == sorted(set(texts)) and len(texts) > len(built) > 1
 
 
 class TestDualityAndTreeDocuments:
@@ -717,11 +774,11 @@ def _distinct(values, key):
 
 
 class TestNoAliasing:
-    """The loader keeps its own parse, with equal sides and equal system
-    descriptors within one document as one shared object, so a loaded document
-    is read-only; ``to_document`` of it is the editable copy, each side its own
-    list, while ``copy.deepcopy`` keeps the sharing.  A caller's dict is copied,
-    never shared."""
+    """The loader keeps its own parse, with equal sides, witnesses, system
+    descriptors and strings within one document as one shared object, so a
+    loaded document is read-only; ``to_document`` of it is the editable copy,
+    each side and witness its own list, while ``copy.deepcopy`` keeps the
+    sharing.  A caller's dict is copied, never shared."""
 
     def documents(self, min3, c4):
         hyper = hyperedge_system(4, [(0, 1), (1, 2, 3)])
@@ -783,6 +840,34 @@ class TestNoAliasing:
         deep = copy.deepcopy(loaded)
         assert deep == loaded and _distinct(_side_lists(deep), tuple) == (lists, tuples)
 
+    def test_a_load_shares_equal_witnesses_and_strings(self, tmp_path):
+        verdict = hunt(9, HuntCorpus(sizes=(4, 4, 5, 5), base_seed=3))
+        path = tmp_path / "verdict.json"
+        save(verdict, path)
+        loaded = load_document(path)
+        assert loaded == to_document(verdict)
+
+        def witnesses(doc):
+            return [ce["witness"] for ce in doc["counterexamples"]]
+
+        lists, keys = _distinct(witnesses(loaded), json.dumps)
+        assert lists == keys < len(witnesses(loaded))
+        for key in ("claim", "failing_axiom"):
+            assert _distinct([ce[key] for ce in loaded["counterexamples"]], str) == (1, 1)
+        assert loaded["counterexamples"][0]["failing_axiom"] is AxiomId.F6.value
+        # the editable copy: every witness its own list; a deep copy keeps the sharing
+        copied = to_document(loaded)
+        assert copied == loaded
+        assert _distinct(witnesses(copied), json.dumps)[0] == len(witnesses(loaded))
+        deep = copy.deepcopy(loaded)
+        assert deep == loaded and _distinct(witnesses(deep), json.dumps) == (lists, keys)
+
+    def test_a_claim_that_reads_as_a_descriptor_stays_a_string(self, tmp_path, min3):
+        doc = to_document(hunt(9, NamedCorpus((min3,))))
+        ce = doc["counterexamples"][0]
+        doc["counterexamples"].append({**ce, "claim": json.dumps(ce["system"])})
+        assert load_document(write(tmp_path, doc)) == doc
+
     def test_the_sharing_in_save_does_not_leak(self, tmp_path, min3, c4):
         verdict = self.documents(min3, c4)[0]
         path = tmp_path / "verdict.json"
@@ -832,7 +917,7 @@ class TestStreamedLoad:
     text gives: the same document, or the same error text, which names the
     same line, column and char."""
 
-    CHUNK = 5  # bytes, so values, entries and characters cross chunk boundaries
+    CHUNK = 5  # characters, which ``io._CHUNK`` counts: values and entries cross chunks
 
     @pytest.fixture
     def text(self):

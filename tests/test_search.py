@@ -26,6 +26,7 @@ from tanglekit import (
     enumerate_all,
     find_one,
     hunt,
+    io,
     min_cardinality_system,
     random_hyperedge_system,
     standard_corpus,
@@ -473,6 +474,33 @@ class TestHunt:
 
         assert project(hunt(9, corpus)) == project(hunt(9, corpus))
         assert project(hunt(10, corpus)) == project(hunt(10, corpus))
+
+    # the SHA-256 of io.dumps of each hunt on SHARING_CORPUS, which sharing
+    # equal tuples must leave as it is: 285 counterexamples, 201 distinct
+    # families, 93 and 22 distinct witnesses
+    SHARING_CORPUS = HuntCorpus(sizes=(4, 4, 5, 5), base_seed=3)
+    SHARING_PINS = {
+        9: "71ba60aa330b3c8754f56864d4a0d695a57ea05d5ef0724faffc6f8f4fe675ae",
+        10: "9dcc911e1ac6750f08620e6a7fd0e519d22687834ffce11e9576975c275f57ea",
+    }
+
+    @pytest.mark.parametrize("problem", [9, 10])
+    def test_equal_families_and_witnesses_share_a_tuple(self, problem):
+        verdict = hunt(problem, self.SHARING_CORPUS)
+        ces = verdict.counterexamples
+        for values in ([c.family.member_masks for c in ces], [c.witness for c in ces]):
+            assert len({id(v) for v in values}) == len(set(values)) < len(values)
+        text = io.dumps(verdict)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHARING_PINS[problem]
+
+    def test_two_hunts_share_no_tuple(self):
+        first, second = (hunt(9, self.SHARING_CORPUS) for _ in range(2))
+
+        def tuples(verdict):
+            return {id(t) for c in verdict.counterexamples
+                    for t in (c.family.member_masks, c.witness) if t}
+
+        assert not tuples(first) & tuples(second)
 
     def test_unknown_problem(self, min3):
         with pytest.raises(ValueError):

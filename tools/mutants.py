@@ -64,6 +64,9 @@ CHECKER_TESTS = (
     "tests/test_structures.py::TestSingleAxioms",
 )
 SHARED_BUILD_TESTS = ("tests/test_connectivity.py::TestSharedBuilds",)
+NO_ALIASING_TESTS = ("tests/test_io.py::TestNoAliasing",)
+HUNT_DOCUMENT_TESTS = ("tests/test_io.py::TestHuntDocuments",)
+HUNT_TESTS = ("tests/test_search.py::TestHunt",)
 
 
 @dataclass(frozen=True)
@@ -231,48 +234,48 @@ MUTANTS = (
         "copy-free-read-serves-to-document", IO,
         'ContextVar("tanglekit.io build memo", default=None)',
         'ContextVar("tanglekit.io build memo", default=_Memo())',
-        ("tests/test_io.py::TestNoAliasing",),
+        NO_ALIASING_TESTS,
     ),
     Mutant(
         "load-memo-shared-across-loads", IO,
         "token = _MEMO.set(_Memo())",
         'token = _MEMO.set(_building.__dict__.setdefault("memo", _Memo()))',
-        ("tests/test_io.py::TestNoAliasing",),
+        NO_ALIASING_TESTS,
     ),
     Mutant(
         "build-memo-not-reset", IO,
         "        _MEMO.reset(token)\n",
         "",
-        ("tests/test_io.py::TestNoAliasing",),
+        NO_ALIASING_TESTS,
     ),
     Mutant(
         "to-document-inside-the-build-context", IO,
         "def to_document(obj) -> dict:",
         "@_building()\ndef to_document(obj) -> dict:",
-        ("tests/test_io.py::TestNoAliasing",),
+        NO_ALIASING_TESTS,
     ),
     Mutant(
         "load-memo-key-drops-an-element", IO,
         "memo.setdefault(tuple(value), value)",
         "memo.setdefault(tuple(value[:-1]), value)",
-        ("tests/test_io.py::TestNoAliasing",),
+        NO_ALIASING_TESTS,
     ),
     Mutant(
         "descriptors-shared-by-kind-and-n", IO,
-        "memo.setdefault(json.dumps(out), out)",
-        'memo.setdefault((out["kind"], out.get("n")), out)',
-        ("tests/test_io.py::TestNoAliasing",),
+        "    text = json.dumps(out)\n    if text not in memo:",
+        '    text = (out["kind"], out.get("n"))\n    if text not in memo:',
+        NO_ALIASING_TESTS,
     ),
     Mutant(
         "to-document-shares-sides-as-save-does", IO,
         "[mask_elements(m) for m in masks] if memo is None",
         "[_listed.__dict__.setdefault(m, mask_elements(m)) for m in masks] if memo is None",
-        ("tests/test_io.py::TestNoAliasing",),
+        NO_ALIASING_TESTS,
     ),
     Mutant(
         "save-skips-checking-an-object-descriptor", IO,
-        "memo[system] = _counterexample_system(system_descriptor(system), where)",
-        "memo[system] = system_descriptor(system)",
+        "out = _system(system_descriptor(system), where, nested=True)",
+        "out = system_descriptor(system)",
         STREAM_TESTS,
     ),
     Mutant(
@@ -425,8 +428,8 @@ MUTANTS = (
     ),
     Mutant(
         "one-of-without-base", IO,
-        "if base(value, where) not in values:",
-        "if value not in values:",
+        "constant = constants.get(base(value, where))",
+        "constant = constants.get(value)",
         ("tests/test_io.py::TestVerdictDocuments",),
     ),
     Mutant(
@@ -477,6 +480,136 @@ MUTANTS = (
         "item = check(item, None)",
         "check(item, None)",
         LOAD_TESTS,
+    ),
+    # one object per distinct value: the hunt's tuples, the loader's witnesses
+    # and strings
+    Mutant(
+        "hunt-shares-no-family-masks", SEARCH,
+        "masks = shared.setdefault(fam.member_masks, fam.member_masks)",
+        "masks = fam.member_masks",
+        HUNT_TESTS,
+    ),
+    Mutant(
+        "hunt-shares-no-witness", SEARCH,
+        "            shared.setdefault(witness, witness),\n",
+        "            witness,\n",
+        HUNT_TESTS,
+    ),
+    Mutant(
+        "hunt-table-kept-across-calls", SEARCH,
+        "    shared = {}  # a tuple of masks",
+        '    shared = hunt.__dict__.setdefault("shared", {})  # a tuple of masks',
+        HUNT_TESTS,
+    ),
+    Mutant(
+        "loaded-witnesses-not-shared", IO,
+        "return sides if memo is None else memo.setdefault(tuple(map(tuple, sides)), sides)",
+        "return sides",
+        NO_ALIASING_TESTS,
+    ),
+    Mutant(
+        "witness-key-from-its-first-side", IO,
+        "memo.setdefault(tuple(map(tuple, sides)), sides)",
+        "memo.setdefault(tuple(map(tuple, sides[:1])), sides)",
+        NO_ALIASING_TESTS,
+    ),
+    Mutant(
+        "claims-not-shared", IO,
+        '"claim": _shared_str,',
+        '"claim": _str,',
+        NO_ALIASING_TESTS,
+    ),
+    Mutant(
+        "claim-keyed-with-the-descriptor-texts", IO,
+        'memo.setdefault(("text", value), value)',
+        "memo.setdefault(value, value)",
+        NO_ALIASING_TESTS,
+    ),
+    Mutant(
+        "one-of-gives-the-parsed-value", IO,
+        "        return constant\n",
+        "        return value\n",
+        NO_ALIASING_TESTS,
+    ),
+    # a counterexample checked against its own system
+    Mutant(
+        "loaded-descriptor-not-built", IO,
+        "memo[text] = _built(out, where)",
+        "memo[text] = out",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "copied-descriptor-not-built", IO,
+        "        return _built(out, where)\n",
+        "        return out\n",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "descriptor-error-escapes-as-value-error", IO,
+        "    try:\n        build_system(descriptor)\n    except ValueError as exc:\n"
+        '        raise SchemaError(f"{where}: {exc}") from exc\n',
+        "    build_system(descriptor)\n",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "descriptor-built-per-counterexample", IO,
+        "    if text not in memo:\n        memo[text] = _built(out, where)\n",
+        "    if _built(out, where) and text not in memo:\n        memo[text] = out\n",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "save-builds-object-descriptors", IO,
+        "memo[system] = memo.setdefault(json.dumps(out), out)",
+        "memo[system] = memo.setdefault(json.dumps(out), _built(out, where))",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "counterexample-sides-may-repeat", IO,
+        '"claim": _shared_str, "sides": _family_sides,',
+        '"claim": _shared_str, "sides": _sides,',
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "unmatched-sides-may-repeat", IO,
+        '_UNMATCHED_ENTRY = {"kind": _one_of(*_KIND_VALUES), "sides": _family_sides}',
+        '_UNMATCHED_ENTRY = {"kind": _one_of(*_KIND_VALUES), "sides": _sides}',
+        ("tests/test_io.py::TestVerdictDocuments",),
+    ),
+    Mutant(
+        "repeats-told-apart-by-id-outside-a-build", IO,
+        "keys = map(tuple, sides) if _MEMO.get() is None else map(id, sides)",
+        "keys = map(id, sides)",
+        ("tests/test_io.py::TestVerdictDocuments",),
+    ),
+    Mutant(
+        "counterexample-sides-range-unchecked", IO,
+        '    _in_range(out["sides"], n, f"{where}.sides")\n',
+        "",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "counterexample-witness-range-unchecked", IO,
+        '    _in_range(out["witness"], n, f"{where}.witness")\n',
+        "",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "range-check-admits-n", IO,
+        "default=-1) >= n:",
+        "default=-1) > n:",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "graph-cut-ground-set-from-edges", IO,
+        '_GROUND_FIELD = {"graph_cut": "vertices", "graph_boundary": "edges"}',
+        '_GROUND_FIELD = {"graph_cut": "edges", "graph_boundary": "edges"}',
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "graph-boundary-ground-set-from-vertices", IO,
+        '_GROUND_FIELD = {"graph_cut": "vertices", "graph_boundary": "edges"}',
+        '_GROUND_FIELD = {"graph_cut": "vertices", "graph_boundary": "vertices"}',
+        HUNT_DOCUMENT_TESTS,
     ),
 )
 
