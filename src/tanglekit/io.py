@@ -45,8 +45,9 @@ gives; a malformed pipe, which cannot be read again, gets "cannot read".
 Ingest is strict: unknown fields, duplicate keys, bad versions, wrong
 types, out-of-range elements and duplicate sides are rejected, and
 recomputable values (orders, the k bound's sign) verified, not believed.  A
-counterexample's system is built, once per distinct descriptor in a build,
-and its sides and witness checked against that system's n.
+counterexample's system is built, once per distinct descriptor in a call, a
+failed check raising a ``SchemaError``, and its sides and witness checked
+against that system's n.
 
 ``load_document``, ``save`` and ``dumps`` each build their document in one
 context, which pauses the cyclic GC (it would rescan the document as it is
@@ -79,7 +80,7 @@ from .connectivity import (
     SYSTEM_FIELDS, SYSTEM_KINDS, ConnectivitySystem, build_system, system_descriptor,
 )
 from .duality import THEOREMS, BranchDecomposition, DualityReport, EquivalenceVerdict
-from .exceptions import SchemaError
+from .exceptions import FunctionAxiomError, SchemaError
 from .search import HUNT_BUDGET, HUNT_FOUND, HUNT_NONE_FOUND, PROBLEMS, HuntVerdict
 from .separations import SeparationFamily, mask_elements
 from .structures import VARIANTS, AxiomId, StructureKind, StructureReport
@@ -101,6 +102,8 @@ class _Memo(dict):
 
 
 _MEMO = ContextVar("tanglekit.io build memo", default=None)  # None outside a build
+# a counterexample system's descriptor JSON text -> its n, for one call
+_BUILT = ContextVar("tanglekit.io built systems", default=None)
 
 
 def _reject_duplicate_keys(pairs):
@@ -114,16 +117,18 @@ def _reject_duplicate_keys(pairs):
 
 @contextmanager
 def _building():
-    """Build a document no caller holds: a fresh memo, and the cyclic GC paused
-    (documents are trees and the toolkit starts no threads; a disabled GC
-    stays so)."""
+    """Build a document no caller holds: a fresh memo and record of built
+    systems, and the cyclic GC paused (documents are trees and the toolkit
+    starts no threads; a disabled GC stays so)."""
     token = _MEMO.set(_Memo())
+    built = _BUILT.set({})
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         _MEMO.reset(token)
+        _BUILT.reset(built)
         if enabled:
             gc.enable()
 
@@ -366,11 +371,8 @@ _sides = _array_of(_side)
 
 
 def _family_sides(value, where):
-    """A family's sides, none repeated; within one build, equal sides are one
-    list, so their ids tell them apart."""
     sides = _sides(value, where)
-    keys = map(tuple, sides) if _MEMO.get() is None else map(id, sides)
-    if len(set(keys)) != len(sides):
+    if len({tuple(s) for s in sides}) != len(sides):
         raise SchemaError(f"{where} contains a duplicate")
     return sides
 
@@ -473,26 +475,24 @@ _UNMATCHED_ENTRY = {"kind": _one_of(*_KIND_VALUES), "sides": _family_sides}
 
 
 def _built(descriptor, where):
-    """``descriptor``, once ``build_system`` accepts it as ``load_system`` would."""
+    """The n of the system ``build_system`` makes of ``descriptor``; a failed
+    check, the explicit table's included, is a ``SchemaError``."""
     try:
-        build_system(descriptor)
-    except ValueError as exc:
+        return build_system(descriptor).n
+    except (ValueError, FunctionAxiomError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
-    return descriptor
 
 
 def _counterexample_system(value, where):
-    """A counterexample's system, built to check it; within one build, built
-    once per distinct descriptor, and equal descriptors are one dict (the
-    checks refuse 1.0 and true for 1, so equal means identical)."""
+    """A counterexample's system and its n, built once per distinct descriptor
+    in a call; within one build, equal descriptors are one dict (the checks
+    refuse 1.0 and true for 1, so equal means identical)."""
     out = _system(value, where, nested=True)
+    text, built = json.dumps(out), _BUILT.get()
+    if text not in built:
+        built[text] = _built(out, where)
     memo = _MEMO.get()
-    if memo is None:
-        return _built(out, where)
-    text = json.dumps(out)
-    if text not in memo:
-        memo[text] = _built(out, where)
-    return memo[text]
+    return (out if memo is None else memo.setdefault(text, out)), built[text]
 
 
 def _descriptor(system, where):
@@ -518,17 +518,11 @@ def _in_range(sides, n, where):
         raise SchemaError(f"{where}[{i}]: element {e} out of range for n={n}")
 
 
-# the field whose length is a system's ground-set size; other kinds store n
-_GROUND_FIELD = {"graph_cut": "vertices", "graph_boundary": "edges"}
-
-
 def _counterexample(value, where):
     """A counterexample whose sides and witness are subsets of its system's
     ground set; its sides repeat none."""
     out = _walk(value, _COUNTEREXAMPLE, where, nested=True)
-    system = out["system"]
-    field = _GROUND_FIELD.get(system["kind"])
-    n = system["n"] if field is None else len(system[field])
+    out["system"], n = out["system"]  # the system's check gives its n too
     _in_range(out["sides"], n, f"{where}.sides")
     _in_range(out["witness"], n, f"{where}.witness")
     return out
@@ -624,7 +618,13 @@ def to_document(obj) -> dict:
     its own list and a dict is copied, so the result is the caller's to edit;
     within one build, equal sides are one list."""
     if isinstance(obj, dict):
-        return _canon_document(obj)
+        if _BUILT.get() is not None:
+            return _canon_document(obj)
+        token = _BUILT.set({})
+        try:
+            return _canon_document(obj)
+        finally:
+            _BUILT.reset(token)
     if isinstance(obj, ConnectivitySystem):
         return {"version": 1, **_descriptor(obj, "system")}
     if isinstance(obj, SeparationFamily):

@@ -403,8 +403,29 @@ class TestHuntDocuments:
         path = tmp_path / "verdict.json"
         save(hunt(9, HuntCorpus(sizes=(4, 4, 5, 5), base_seed=3)), path)
         assert built == []  # an object's descriptor is built already
-        texts = [json.dumps(ce["system"]) for ce in load_document(path)["counterexamples"]]
+        loaded = load_document(path)
+        texts = [json.dumps(ce["system"]) for ce in loaded["counterexamples"]]
         assert sorted(built) == sorted(set(texts)) and len(texts) > len(built) > 1
+        # a copy outside the build builds each once too
+        built.clear()
+        assert to_document(loaded) == loaded
+        assert sorted(built) == sorted(set(texts))
+        built.clear()
+        assert to_document(json.loads(path.read_text())) == loaded
+        assert sorted(built) == sorted(set(texts))
+
+    def test_a_failed_explicit_table_is_a_schema_error(self, tmp_path, min3):
+        good = to_document(hunt(9, NamedCorpus((min3,))))
+        ce = good["counterexamples"][0]
+        broken = list(MIN3_TABLE)
+        broken[1] = 5
+        bad = {**ce, "system": {"kind": "explicit", "n": 3, "values": broken}}
+        doc = {**good, "counterexamples": [ce, bad]}
+        message = r"^counterexamples\[1\]\.system: explicit table rejected: "
+        with pytest.raises(SchemaError, match=message):
+            load_document(write(tmp_path, doc))
+        with pytest.raises(SchemaError, match=message):
+            to_document(doc)
 
 
 class TestDualityAndTreeDocuments:

@@ -262,8 +262,8 @@ MUTANTS = (
     ),
     Mutant(
         "descriptors-shared-by-kind-and-n", IO,
-        "    text = json.dumps(out)\n    if text not in memo:",
-        '    text = (out["kind"], out.get("n"))\n    if text not in memo:',
+        "memo.setdefault(text, out)",
+        'memo.setdefault((out["kind"], out.get("n")), out)',
         NO_ALIASING_TESTS,
     ),
     Mutant(
@@ -311,8 +311,9 @@ MUTANTS = (
     Mutant(
         "gc-pause-without-finally", IO,
         "    try:\n        yield\n    finally:\n        _MEMO.reset(token)\n"
-        "        if enabled:\n            gc.enable()",
-        "    yield\n    _MEMO.reset(token)\n    if enabled:\n        gc.enable()",
+        "        _BUILT.reset(built)\n        if enabled:\n            gc.enable()",
+        "    yield\n    _MEMO.reset(token)\n    _BUILT.reset(built)\n"
+        "    if enabled:\n        gc.enable()",
         GC_TESTS,
     ),
     Mutant(
@@ -533,34 +534,33 @@ MUTANTS = (
     ),
     # a counterexample checked against its own system
     Mutant(
-        "loaded-descriptor-not-built", IO,
-        "memo[text] = _built(out, where)",
-        "memo[text] = out",
-        HUNT_DOCUMENT_TESTS,
-    ),
-    Mutant(
-        "copied-descriptor-not-built", IO,
-        "        return _built(out, where)\n",
-        "        return out\n",
+        "descriptor-not-built", IO,
+        "        return build_system(descriptor).n\n",
+        '        return descriptor.get("n", 1 << 20)\n',
         HUNT_DOCUMENT_TESTS,
     ),
     Mutant(
         "descriptor-error-escapes-as-value-error", IO,
-        "    try:\n        build_system(descriptor)\n    except ValueError as exc:\n"
-        '        raise SchemaError(f"{where}: {exc}") from exc\n',
-        "    build_system(descriptor)\n",
+        "    except (ValueError, FunctionAxiomError) as exc:\n",
+        "    except FunctionAxiomError as exc:\n",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "table-error-escapes-as-axiom-error", IO,
+        "    except (ValueError, FunctionAxiomError) as exc:\n",
+        "    except ValueError as exc:\n",
         HUNT_DOCUMENT_TESTS,
     ),
     Mutant(
         "descriptor-built-per-counterexample", IO,
-        "    if text not in memo:\n        memo[text] = _built(out, where)\n",
-        "    if _built(out, where) and text not in memo:\n        memo[text] = out\n",
+        "    if text not in built:\n        built[text] = _built(out, where)\n",
+        "    built[text] = _built(out, where)\n",
         HUNT_DOCUMENT_TESTS,
     ),
     Mutant(
         "save-builds-object-descriptors", IO,
         "memo[system] = memo.setdefault(json.dumps(out), out)",
-        "memo[system] = memo.setdefault(json.dumps(out), _built(out, where))",
+        "memo[system] = memo.setdefault(json.dumps(out), _built(out, where) and out)",
         HUNT_DOCUMENT_TESTS,
     ),
     Mutant(
@@ -573,12 +573,6 @@ MUTANTS = (
         "unmatched-sides-may-repeat", IO,
         '_UNMATCHED_ENTRY = {"kind": _one_of(*_KIND_VALUES), "sides": _family_sides}',
         '_UNMATCHED_ENTRY = {"kind": _one_of(*_KIND_VALUES), "sides": _sides}',
-        ("tests/test_io.py::TestVerdictDocuments",),
-    ),
-    Mutant(
-        "repeats-told-apart-by-id-outside-a-build", IO,
-        "keys = map(tuple, sides) if _MEMO.get() is None else map(id, sides)",
-        "keys = map(id, sides)",
         ("tests/test_io.py::TestVerdictDocuments",),
     ),
     Mutant(
@@ -597,18 +591,6 @@ MUTANTS = (
         "range-check-admits-n", IO,
         "default=-1) >= n:",
         "default=-1) > n:",
-        HUNT_DOCUMENT_TESTS,
-    ),
-    Mutant(
-        "graph-cut-ground-set-from-edges", IO,
-        '_GROUND_FIELD = {"graph_cut": "vertices", "graph_boundary": "edges"}',
-        '_GROUND_FIELD = {"graph_cut": "edges", "graph_boundary": "edges"}',
-        HUNT_DOCUMENT_TESTS,
-    ),
-    Mutant(
-        "graph-boundary-ground-set-from-vertices", IO,
-        '_GROUND_FIELD = {"graph_cut": "vertices", "graph_boundary": "edges"}',
-        '_GROUND_FIELD = {"graph_cut": "vertices", "graph_boundary": "vertices"}',
         HUNT_DOCUMENT_TESTS,
     ),
 )
