@@ -41,25 +41,24 @@ entries item by item, making each entry canonical as soon as it is decoded,
 so a load never holds the whole text.  A malformed file is read a second
 time, whole, from the same open file, for the offset of its first byte that
 is not UTF-8, else for the message, line, column and char ``json.loads``
-gives; a malformed pipe, which cannot be read again, gets "cannot read".
-Ingest is strict: unknown fields, duplicate keys, bad versions, wrong
-types, out-of-range elements and duplicate sides are rejected, and
-recomputable values (orders, the k bound's sign) verified, not believed.  A
-counterexample's system is built, once per distinct descriptor in a call, a
-failed check raising a ``SchemaError``, and its sides and witness checked
-against that system's n.
+gives (or its refusal of an integer of too many digits); a malformed pipe,
+which cannot be read again, gets "cannot read", and a file nested past the
+recursion limit "nested too deeply".  Ingest is strict: unknown fields,
+duplicate keys, bad versions, wrong types, out-of-range elements and
+duplicate sides are rejected, and recomputable values (orders, the k
+bound's sign) verified, not believed.  A counterexample's system is built,
+once per distinct descriptor in a call, a failed check raising a
+``SchemaError``, and its sides and witness checked against that system's n.
 
-``load_document``, ``save`` and ``dumps`` each build their document in one
-context, which pauses the cyclic GC (it would rescan the document as it is
-allocated) and keeps one list per distinct side, parsed, a caller's or from
-a mask, and one dict per distinct counterexample system; of a parsed or a
-caller's document it also keeps one list per distinct witness and one string
-per distinct claim, and an enumerated field becomes the toolkit's own
-constant.  So a loaded document, validated in place, shares its equal sides,
-witnesses, descriptors and strings: treat it as read-only or take
-``to_document(doc)``, which runs outside the context, copying a dict and
-listing each side and witness anew.  ``save`` and ``dumps`` share a dict's
-equal sides and never change it.
+Every call builds its document in one context, which pauses the cyclic GC
+(it would rescan the document as it is allocated) and keeps one list per
+distinct side, parsed, a caller's or from a mask, and one dict per distinct
+counterexample system; of a parsed or a caller's document also one list per
+distinct witness and one string per distinct claim, and an enumerated field
+becomes the toolkit's own constant.  A loaded document, validated in place,
+shares these: treat it as read-only or take ``to_document(doc)``, a copy of
+the document it builds, every list and dict new.  ``save`` and ``dumps``
+share a dict's equal sides and never change it.
 """
 
 from __future__ import annotations
@@ -92,8 +91,8 @@ _KIND_VALUES = tuple(k.value for k in StructureKind)
 class _Memo(dict):
     """The memo of one build: a side's tuple or mask -> the side's one list, a
     witness's tuple of side tuples -> its one list, a counterexample system's
-    JSON text or object -> its descriptor's one dict, and ("text", a string)
-    -> that string's one object."""
+    JSON text or object -> its descriptor's one dict, ("n", that text) -> its
+    built system's n, and ("text", a string) -> that string's one object."""
 
     def __missing__(self, mask):
         elements = mask_elements(mask)
@@ -101,9 +100,7 @@ class _Memo(dict):
         return elements
 
 
-_MEMO = ContextVar("tanglekit.io build memo", default=None)  # None outside a build
-# a counterexample system's descriptor JSON text -> its n, for one call
-_BUILT = ContextVar("tanglekit.io built systems", default=None)
+_MEMO = ContextVar("tanglekit.io build memo")  # set only within a build
 
 
 def _reject_duplicate_keys(pairs):
@@ -117,18 +114,15 @@ def _reject_duplicate_keys(pairs):
 
 @contextmanager
 def _building():
-    """Build a document no caller holds: a fresh memo and record of built
-    systems, and the cyclic GC paused (documents are trees and the toolkit
-    starts no threads; a disabled GC stays so)."""
+    """Build a document no caller holds: a fresh memo, the cyclic GC paused
+    (documents are trees and the toolkit starts no threads; a disabled GC stays so)."""
     token = _MEMO.set(_Memo())
-    built = _BUILT.set({})
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         _MEMO.reset(token)
-        _BUILT.reset(built)
         if enabled:
             gc.enable()
 
@@ -177,7 +171,7 @@ class _Reader:
             text = self.text
             try:
                 value, end = _SCAN(text, self.at)
-            except (StopIteration, json.JSONDecodeError):
+            except (StopIteration, ValueError):  # a JSONDecodeError, or too many digits
                 if self.more():
                     continue
                 self.fail()
@@ -201,6 +195,8 @@ class _Reader:
                        object_pairs_hook=_reject_duplicate_keys)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{self.path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer of more digits than int() converts
+            raise SchemaError(f"{self.path}: {exc}") from exc
         raise SchemaError(f"{self.path}: top-level value must be an object")
 
     def members(self, close):
@@ -358,8 +354,7 @@ def _side(value, where):
                 break
             last = e
         else:
-            memo = _MEMO.get()
-            return list(value) if memo is None else memo.setdefault(tuple(value), value)
+            return _MEMO.get().setdefault(tuple(value), value)
     for i, e in enumerate(_list(value, where)):
         _int(e, f"{where}[{i}]", minimum=0)
     if len(set(value)) != len(value):
@@ -378,21 +373,18 @@ def _family_sides(value, where):
 
 
 def _witness(value, where):
-    """A witness: sides in any order, repeats allowed.  Within one build, equal
-    witnesses are one list, keyed by their tuple of side tuples; of the memo's
-    other keys only the empty side's equals one, the empty witness's, and its
-    list is equal too."""
+    """A witness: sides in any order, repeats allowed.  Equal witnesses are one
+    list, keyed by their tuple of side tuples; of the memo's other keys only
+    the empty side's equals one, the empty witness's, with an equal list."""
     sides = _sides(value, where)
-    memo = _MEMO.get()
-    return sides if memo is None else memo.setdefault(tuple(map(tuple, sides)), sides)
+    return _MEMO.get().setdefault(tuple(map(tuple, sides)), sides)
 
 
 def _shared_str(value, where):
-    """A free-form string; within one build, equal ones are one string, keyed
-    apart from the descriptor texts the memo also holds."""
+    """A free-form string; equal ones are one string, keyed apart from the
+    descriptor texts the memo also holds."""
     value = _str(value, where)
-    memo = _MEMO.get()
-    return value if memo is None else memo.setdefault(("text", value), value)
+    return _MEMO.get().setdefault(("text", value), value)
 
 
 def _pair(value, where):
@@ -485,22 +477,19 @@ def _built(descriptor, where):
 
 def _counterexample_system(value, where):
     """A counterexample's system and its n, built once per distinct descriptor
-    in a call; within one build, equal descriptors are one dict (the checks
-    refuse 1.0 and true for 1, so equal means identical)."""
+    in a call; equal descriptors are one dict (the checks refuse 1.0 and true
+    for 1, so equal means identical)."""
     out = _system(value, where, nested=True)
-    text, built = json.dumps(out), _BUILT.get()
-    if text not in built:
-        built[text] = _built(out, where)
-    memo = _MEMO.get()
-    return (out if memo is None else memo.setdefault(text, out)), built[text]
+    text, memo = json.dumps(out), _MEMO.get()
+    if ("n", text) not in memo:
+        memo["n", text] = _built(out, where)
+    return memo.setdefault(text, out), memo["n", text]
 
 
 def _descriptor(system, where):
-    """A system object's descriptor; within one build, checked once per object,
-    and shared as a counterexample's is (the object is built already)."""
+    """A system object's descriptor, checked once per object, and shared as a
+    counterexample's is (the object is built already)."""
     memo = _MEMO.get()
-    if memo is None:
-        return system_descriptor(system)
     if system not in memo:
         out = _system(system_descriptor(system), where, nested=True)
         memo[system] = memo.setdefault(json.dumps(out), out)
@@ -542,12 +531,6 @@ _ENTRIES = {
 }
 
 
-def _corpus(value, where):
-    """A hunt's corpus: any object, whose contents only the emitter checks."""
-    _obj(value, where)
-    return value if _MEMO.get() is not None else copy.deepcopy(value)
-
-
 # identifying key -> (shape, fields), tried in this order; a document with
 # none of these keys but a "kind" is a system
 _SHAPES = {
@@ -562,7 +545,7 @@ _SHAPES = {
         "unmatched": _array_of(_ENTRIES["unmatched"]), "bw": _optional(_nat),
     }),
     "problem": ("hunt verdict", {
-        "problem": _one_of(*PROBLEMS, base=_int), "corpus": _corpus,
+        "problem": _one_of(*PROBLEMS, base=_int), "corpus": _obj,  # the emitter checks it
         "systems_examined": _nat, "structures_examined": _nat,
         "counterexamples": _array_of(_ENTRIES["counterexamples"]),
         "status": _one_of(HUNT_NONE_FOUND, HUNT_FOUND, HUNT_BUDGET),
@@ -597,9 +580,9 @@ def _canon_document(doc, done=()):
 
 
 def _listed(masks):
-    """The sides of ``masks``: within one build the memo's lists, else new ones."""
+    """The sides of ``masks``: the memo's lists."""
     memo = _MEMO.get()
-    return [mask_elements(m) for m in masks] if memo is None else [memo[m] for m in masks]
+    return [memo[m] for m in masks]
 
 
 def _fill(fields, *values):
@@ -611,20 +594,11 @@ def _document(shape_key, *values):
     return {"version": 1, **_fill(_SHAPES[shape_key][1], *values)}
 
 
-def to_document(obj) -> dict:
-    """Canonical JSON-shaped dict for any toolkit object or parsed dict, keyed in
-    the order of the check tables above, which the reader walks.  An object's
-    names, and within one build its vertex labels, are checked.  Each side is
-    its own list and a dict is copied, so the result is the caller's to edit;
-    within one build, equal sides are one list."""
+def _built_document(obj) -> dict:
+    """The canonical document of a toolkit object or parsed dict, in the key
+    order the reader walks; an object's names and labels are checked too."""
     if isinstance(obj, dict):
-        if _BUILT.get() is not None:
-            return _canon_document(obj)
-        token = _BUILT.set({})
-        try:
-            return _canon_document(obj)
-        finally:
-            _BUILT.reset(token)
+        return _canon_document(obj)
     if isinstance(obj, ConnectivitySystem):
         return {"version": 1, **_descriptor(obj, "system")}
     if isinstance(obj, SeparationFamily):
@@ -649,7 +623,7 @@ def to_document(obj) -> dict:
                   _listed(c.witness))
             for i, c in enumerate(obj.counterexamples)
         ]
-        return _document("problem", obj.problem, _corpus(obj.corpus, "corpus"),
+        return _document("problem", obj.problem, _obj(obj.corpus, "corpus"),
                          obj.systems_examined, obj.structures_examined,
                          counterexamples, obj.status)
     if isinstance(obj, DualityReport):
@@ -662,6 +636,24 @@ def to_document(obj) -> dict:
 
 
 _INTS = frozenset({int})  # exact ints: True and 1.0 equal 1 but print otherwise
+_ATOMS = frozenset({str, int, bool, type(None)})
+
+
+def _copied(value):
+    """A built document copied as a tree: every list and dict new, and a value
+    of a type JSON has no atom for deep-copied (a corpus may hold one)."""
+    if type(value) is list:
+        return [v if type(v) in _ATOMS else _copied(v) for v in value]
+    if type(value) is dict:
+        return {k: v if type(v) in _ATOMS else _copied(v) for k, v in value.items()}
+    return copy.deepcopy(value)
+
+
+def to_document(obj) -> dict:
+    """Canonical JSON-shaped dict of a toolkit object or parsed dict, checked as
+    ``save`` checks it and copied for the caller to edit."""
+    with _building():
+        return _copied(_built_document(obj))
 
 
 def _emitter():
@@ -710,15 +702,8 @@ def _emitter():
             return int.__repr__(value)
         if value is None or value is True or value is False:
             return "null" if value is None else "true" if value else "false"
-        if isinstance(value, str):
-            return encode_basestring(value)
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, (list, tuple)):
-            return emit(list(value), nl)
-        if isinstance(value, dict):
-            return emit(dict(value.items()), nl)
-        return json.dumps(value)  # floats; other types raise as json.dumps does
+        # a tuple, a subclass, a float; other types raise as json.dumps does
+        return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", nl)
 
     return emit
 
@@ -753,20 +738,17 @@ def _write(doc, write) -> None:
     del walk  # it refers to itself: free it now, not at the next GC pass
 
 
-def _text(doc) -> str:
-    """The emitter's string sink: the whole text as one string."""
-    return _emitter()(doc, "\n")
-
-
 def _documents(obj):
     """The document or list of them that ``dumps`` and ``save`` build."""
-    return [to_document(o) for o in obj] if isinstance(obj, list) else to_document(obj)
+    return [_built_document(o) for o in obj] if isinstance(obj, list) else _built_document(obj)
 
 
 def dumps(obj) -> str:
     """Canonical text of one object, or of a list of objects as a JSON array."""
     with _building():
-        return _text(_documents(obj)) + "\n"
+        pieces = []
+        _write(_documents(obj), pieces.append)
+        return "".join(pieces) + "\n"
 
 
 def save(document, path) -> None:
@@ -777,8 +759,8 @@ def save(document, path) -> None:
     with _building():
         doc = _documents(document)
         for d in doc if isinstance(doc, list) else (doc,):
-            if "corpus" in d:
-                _text(d["corpus"]).encode("utf-8")  # the one field no check types
+            if "corpus" in d:  # the one field no check types: written to UTF-8
+                _write(d["corpus"], str.encode)
         with Path(path).open("w", encoding="utf-8") as file:
             _write(doc, file.write)
             file.write("\n")
@@ -791,9 +773,11 @@ def load_document(path) -> dict:
         try:
             with open(path, encoding="utf-8") as file:
                 doc, done = _Reader(path, file).document()
+            return _canon_document(doc, done)
         except OSError as exc:
             raise SchemaError(f"cannot read {path}: {exc}") from exc
-        return _canon_document(doc, done)
+        except RecursionError as exc:  # in the scanner, or a branch-width tree
+            raise SchemaError(f"{path}: nested too deeply") from exc
 
 
 def load_system(path) -> ConnectivitySystem:

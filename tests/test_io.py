@@ -5,8 +5,11 @@ import gc
 import hashlib
 import json
 import os
+import re
 import signal
 import threading
+import weakref
+from collections import OrderedDict
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
@@ -406,7 +409,7 @@ class TestHuntDocuments:
         loaded = load_document(path)
         texts = [json.dumps(ce["system"]) for ce in loaded["counterexamples"]]
         assert sorted(built) == sorted(set(texts)) and len(texts) > len(built) > 1
-        # a copy outside the build builds each once too
+        # to_document builds each once too
         built.clear()
         assert to_document(loaded) == loaded
         assert sorted(built) == sorted(set(texts))
@@ -596,8 +599,18 @@ class TestWriter:
     @settings(max_examples=300, deadline=None)
     @given(_TREES)
     @example([[1, 2], {"a": [1, 2], "b": [[1, 2]]}, [], {}, [True, 1], [[]]])
+    # what the emitter hands to json.dumps: a tuple, a str enum, an int enum,
+    # a dict subclass and a float, each nested below the corpus
+    @example([{"a": [(1, [2, "x"], ())]}, [(), (True,)]])
+    @example({"axiom": [AxiomId.F6, [AxiomId.F6]], "signal": [signal.SIGINT, 1]})
+    @example([OrderedDict(a=[1, OrderedDict(b=(2,))], c=OrderedDict()), {"d": OrderedDict(e=1)}])
+    @example([[1.5, [0.0, -2.5e-300]], {"f": 1e300}, 1.0])
     def test_text_matches_json_dumps(self, value):
-        assert io._text(value) == json.dumps(value, indent=2, ensure_ascii=False)
+        """``dumps`` of a hunt verdict whose corpus holds ``value``."""
+        doc = {"version": 1, "problem": 9, "corpus": {"value": value}, "systems_examined": 0,
+               "structures_examined": 0, "counterexamples": [],
+               "status": "no_counterexample_found"}
+        assert io.dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
     @settings(max_examples=300, deadline=None)
     @given(_TREES)
@@ -907,6 +920,100 @@ class TestNoAliasing:
         doc["corpus"]["named"].append("x")
         assert verdict.corpus["named"] == ["min3"]
         assert to_document(verdict)["corpus"]["named"] == ["min3"]
+
+
+class _TupleCorpus(NamedCorpus):
+    """A corpus whose description holds a tuple of lists."""
+
+    def describe(self):
+        return {"named": ([s.name for s in self.members], ["x"])}
+
+
+class TestToDocument:
+    """``to_document`` builds the document ``save`` writes, in the same
+    context, then copies it."""
+
+    def test_an_object_is_checked_as_save_checks_it(self, tmp_path):
+        vertices, edges = ["a", "b\udc80"], [["a", "b\udc80"]]
+        system = graph_cut_system(vertices, edges)
+        for obj, message in [
+            (system, r"^system\.vertices\[1\] is not encodable as UTF-8"),
+            ({"version": 1, "kind": "graph_cut", "vertices": vertices, "edges": edges},
+             r"^vertices\[1\] is not encodable as UTF-8"),
+        ]:
+            with pytest.raises(SchemaError, match=message):
+                to_document(obj)
+            with pytest.raises(SchemaError, match=message):
+                save(obj, tmp_path / "system.json")
+
+    def test_a_corpus_tuple_of_lists_is_copied(self, min3):
+        verdict = hunt(9, _TupleCorpus((min3,)))
+        doc = to_document(verdict)
+        assert doc["corpus"] == verdict.corpus
+        original, copied = verdict.corpus["named"], doc["corpus"]["named"]
+        assert type(copied) is tuple and copied is not original
+        assert not {id(v) for v in copied} & {id(v) for v in original}
+        copied[0].append("changed")
+        assert verdict.corpus["named"] == (["min3"], ["x"])
+
+    def test_a_call_keeps_nothing_alive(self, tmp_path):
+        system = hyperedge_system(4, [(0, 1), (1, 2, 3)])
+        ref = weakref.ref(system)
+        save(system, tmp_path / "system.json")
+        io.dumps(system)
+        del system
+        gc.collect()
+        assert ref() is None
+
+
+def _nested(depth):
+    """0 inside ``depth`` arrays, as JSON text."""
+    return "[" * depth + "0" + "]" * depth
+
+
+class TestUnreadableValues:
+    """What the interpreter cannot read is a ``SchemaError`` naming the file:
+    nesting past the recursion limit and integers of more digits than ``int``
+    converts."""
+
+    def deep_files(self, tmp_path):
+        # a branch-width tree the check recurses into, and arrays nested past
+        # what the scanner decodes
+        tree = '{"version": 1, "system": "c4", "width": 2, "tree": %s}' % _nested(500)
+        sides = '{"version": 1, "k": 0, "sides": %s}' % _nested(5000)
+        return [write(tmp_path, tree, "tree.json"), write(tmp_path, sides, "sides.json")]
+
+    def test_deep_nesting(self, tmp_path):
+        for path in self.deep_files(tmp_path):
+            with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: nested too deeply$"):
+                load_document(path)
+        shallow = '{"version": 1, "system": "c4", "width": 2, "tree": %s}' % _nested(100)
+        assert load_document(write(tmp_path, shallow))["tree"] == json.loads(_nested(100))
+
+    def test_deep_nesting_exits_two(self, tmp_path):
+        for path in self.deep_files(tmp_path):
+            result = CliRunner().invoke(main, [
+                "check", "--system", "min3", "--family", str(path), "--kind", "tangle",
+            ])
+            assert result.exit_code == 2, result.output
+            assert "nested too deeply" in result.output
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    def test_an_integer_of_too_many_digits(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(io, "_CHUNK", chunk)
+        huge = "9" * 5000
+        for text in (
+            '{"version": 1, "k": %s, "sides": [[0]]}' % huge,
+            '{"version": 1, "k": 0, "sides": [[0, %s]]}' % huge,
+        ):
+            path = write(tmp_path, text)
+            message = rf"^{re.escape(str(path))}: Exceeds the limit \(4300 digits\)"
+            with pytest.raises(SchemaError, match=message):
+                load_document(path)
+        digits = "9" * 4300  # the most int() converts
+        assert load_document(write(tmp_path, '{"version": 1, "k": %s, "sides": []}' % digits)) == {
+            "version": 1, "k": int(digits), "sides": [],
+        }
 
 
 def whole_text_load(path):
