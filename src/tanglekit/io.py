@@ -42,11 +42,10 @@ so a load never holds the whole text.  A malformed file is read a second
 time, whole, from the same open file, for the offset of its first byte that
 is not UTF-8, else for the message, line, column and char ``json.loads``
 gives (or its refusal of an integer of too many digits); a malformed pipe,
-which cannot be read again, gets "cannot read", and a file nested past the
-recursion limit "nested too deeply".  Ingest is strict: unknown fields,
-duplicate keys, bad versions, wrong types, out-of-range elements and
-duplicate sides are rejected, and recomputable values (orders, the k
-bound's sign) verified, not believed.  A counterexample's system is built,
+which cannot be read again, gets "cannot read".  Ingest is strict:
+unknown fields, duplicate keys, bad versions, wrong types, out-of-range
+elements and duplicate sides are rejected, and recomputable values (orders,
+the k bound's sign) verified, not believed.  A counterexample's system is built,
 once per distinct descriptor in a call, a failed check raising a
 ``SchemaError``, and its sides and witness checked against that system's n.
 
@@ -55,10 +54,12 @@ Every call builds its document in one context, which pauses the cyclic GC
 distinct side, parsed, a caller's or from a mask, and one dict per distinct
 counterexample system; of a parsed or a caller's document also one list per
 distinct witness and one string per distinct claim, and an enumerated field
-becomes the toolkit's own constant.  A loaded document, validated in place,
-shares these: treat it as read-only or take ``to_document(doc)``, a copy of
-the document it builds, every list and dict new.  ``save`` and ``dumps``
-share a dict's equal sides and never change it.
+becomes the toolkit's own constant.  In every call, a file or document
+nested past the recursion limit is a ``SchemaError``, "nested too deeply".
+A loaded document, validated in place, shares these: treat it as read-only
+or take ``to_document(doc)``, a copy of the document it builds, every list
+and dict new.  ``save`` and ``dumps`` share a dict's equal sides and never
+change it.
 """
 
 from __future__ import annotations
@@ -113,14 +114,17 @@ def _reject_duplicate_keys(pairs):
 
 
 @contextmanager
-def _building():
+def _building(where="document"):
     """Build a document no caller holds: a fresh memo, the cyclic GC paused
-    (documents are trees and the toolkit starts no threads; a disabled GC stays so)."""
+    (documents are trees and the toolkit starts no threads; a disabled GC stays so).
+    Nesting past the recursion limit is a ``SchemaError`` naming ``where``."""
     token = _MEMO.set(_Memo())
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
+    except RecursionError as exc:  # in the scanner, a branch-width tree or the emitter
+        raise SchemaError(f"{where}: nested too deeply") from exc
     finally:
         _MEMO.reset(token)
         if enabled:
@@ -769,15 +773,13 @@ def save(document, path) -> None:
 
 def load_document(path) -> dict:
     """Parse, validate and canonicalize any toolkit JSON document."""
-    with _building():
+    with _building(path):
         try:
             with open(path, encoding="utf-8") as file:
                 doc, done = _Reader(path, file).document()
             return _canon_document(doc, done)
         except OSError as exc:
             raise SchemaError(f"cannot read {path}: {exc}") from exc
-        except RecursionError as exc:  # in the scanner, or a branch-width tree
-            raise SchemaError(f"{path}: nested too deeply") from exc
 
 
 def load_system(path) -> ConnectivitySystem:

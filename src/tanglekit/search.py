@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .connectivity import ConnectivitySystem, check_int
 from .corpus import random_hyperedge_system
 from .exceptions import SearchBudgetError
-from .separations import SeparationFamily, efficient_context
+from .separations import EfficientContext, SeparationFamily, efficient_context
 from .structures import (
     ORIENTATION_KINDS,
     AxiomId,
@@ -103,11 +103,9 @@ class _Rules:
     re-check, so a missing rule costs time, never results.
     """
 
-    def __init__(self, system: ConnectivitySystem, k: int, axioms):
+    def __init__(self, context: EfficientContext, n: int, axioms):
         on = set(axioms)
-        full = self.full = system.full_mask
-        context = efficient_context(system, k)
-        self.eff = context.masks
+        full = self.full = (1 << n) - 1
         self.eff_set = context.mask_set
         self.eff_bits = [1 << e for e in context.elements]
         self.singles_in = AxiomId.T2 in on or AxiomId.P4 in on
@@ -119,7 +117,7 @@ class _Rules:
         else:
             self.below = full if AxiomId.F4 in on else None
         if self.below is not None:
-            self.eff_read = [b ^ self.below for b in self.eff]
+            self.eff_read = [b ^ self.below for b in context.masks]
         self.pair = _flip(on, AxiomId.P3B, AxiomId.F5, full)
         self.shrink = AxiomId.SF5 in on
         self.cover = AxiomId.T3 in on
@@ -194,31 +192,28 @@ class _Rules:
         return False
 
 
-class _Searcher:
-    def __init__(self, system, k, kind, variant, budget, prune, limit):
-        self.system = system
-        self.k = k
-        self.kind = kind
-        self.variant = variant
-        self.limit = limit
-        self.budget = budget
-        if system.n > budget.max_ground_set:
-            raise SearchBudgetError(
-                f"ground set of {system.n} exceeds budget "
-                f"max_ground_set={budget.max_ground_set}"
-            )
-        self.rules = _Rules(system, k, axiom_ids(kind, variant) if prune else ())
-        full = system.full_mask
-        self.slots = [m for m in self.rules.eff if m <= full ^ m]
+class _Walk:
+    """Every orientation of the separations in ``context`` that the rules of
+    ``axioms`` leave, each handed to ``leaf`` as its masks, ascending.
+
+    The walk reads f only through the context, so its leaves and its node
+    count are a function of n, the axioms and the separations of order <= k.
+    """
+
+    def __init__(self, context: EfficientContext, n: int, axioms, budget: SearchBudget, leaf):
+        self.rules = _Rules(context, n, axioms)
+        full = self.rules.full
+        self.slots = [m for m in context.masks if m <= full ^ m]
         if len(self.slots) > budget.max_unordered:
             raise SearchBudgetError(
                 f"{len(self.slots)} unordered separations exceed budget "
                 f"max_unordered={budget.max_unordered}"
             )
+        self.budget = budget
+        self.leaf = leaf
         # canonical mask -> chosen orientation; the values are the family
         self.assignment: dict[int, int] = {}
         self.nodes = 0
-        self.found: list[tuple[SeparationFamily, StructureReport]] = []
         self.deadline = (
             time.monotonic() + budget.max_seconds
             if budget.max_seconds is not None
@@ -234,17 +229,14 @@ class _Searcher:
             if time.monotonic() > self.deadline:
                 raise _Cut
 
-    def _canon(self, m):
-        comp = self.rules.full ^ m
-        return m if m <= comp else comp
-
     def _assign(self, mask, trail) -> bool:
         """Orient one slot, then drain this choice's closure; False on clash."""
         chosen = self.assignment.values()
+        full = self.rules.full
         queue = [mask]
         while queue:
             mask = queue.pop()
-            canon = self._canon(mask)
+            canon = min(mask, full ^ mask)
             prior = self.assignment.get(canon)
             if prior is not None:
                 if prior != mask:
@@ -258,46 +250,28 @@ class _Searcher:
             queue += self.rules.closure(mask, chosen)
         return True
 
-    def _undo(self, trail):
-        for canon in trail:
-            del self.assignment[canon]
-
-    def _emit_if_valid(self):
-        family = SeparationFamily.from_masks(
-            self.system, self.k, sorted(self.assignment.values())
-        )
-        report = check_structure(
-            self.system, self.k, family, self.kind, self.variant
-        )
-        if report.passed:
-            self.found.append((family, report))
-            if self.limit is not None and len(self.found) >= self.limit:
-                raise _Cut
-
-    def _walk(self, idx):
+    def _descend(self, idx):
         while idx < len(self.slots) and self.slots[idx] in self.assignment:
             idx += 1
         if idx == len(self.slots):
-            self._emit_if_valid()
+            self.leaf(sorted(self.assignment.values()))
             return
         canon = self.slots[idx]
         for mask in (canon, self.rules.full ^ canon):
             trail = []
             if self._assign(mask, trail):
-                self._walk(idx + 1)
-            self._undo(trail)
+                self._descend(idx + 1)
+            for slot in trail:
+                del self.assignment[slot]
 
-    def run(self) -> SearchResult:
-        complete = True
+    def run(self) -> bool:
+        """Walk; False when a cap, or ``leaf`` raising ``_Cut``, stopped it."""
         try:
             if all(self._assign(mask, []) for mask in self.rules.forced()):
-                self._walk(0)
+                self._descend(0)
         except _Cut:
-            complete = self.limit is not None and len(self.found) >= self.limit
-        found = sorted(self.found, key=lambda pair: pair[0].member_masks)
-        families, reports = zip(*found) if found else ((), ())
-        status = STATUS_COMPLETE if complete else STATUS_BUDGET
-        return SearchResult(families, complete, self.nodes, status, reports)
+            return False
+        return True
 
 
 def enumerate_all(
@@ -324,7 +298,28 @@ def enumerate_all(
     if limit is not None:
         check_int(limit, "limit", 1)
     budget = budget or SearchBudget()
-    return _Searcher(system, k, kind, variant, budget, prune, limit).run()
+    if system.n > budget.max_ground_set:  # before the context builds the value table
+        raise SearchBudgetError(
+            f"ground set of {system.n} exceeds budget "
+            f"max_ground_set={budget.max_ground_set}"
+        )
+    found: list[tuple[SeparationFamily, StructureReport]] = []
+
+    def leaf(masks):
+        family = SeparationFamily.from_masks(system, k, masks)
+        report = check_structure(system, k, family, kind, variant)
+        if report.passed:
+            found.append((family, report))
+            if len(found) == limit:
+                raise _Cut
+
+    axioms = axiom_ids(kind, variant) if prune else ()
+    walk = _Walk(efficient_context(system, k), system.n, axioms, budget, leaf)
+    complete = walk.run() or len(found) == limit
+    found.sort(key=lambda pair: pair[0].member_masks)
+    families, reports = zip(*found) if found else ((), ())
+    status = STATUS_COMPLETE if complete else STATUS_BUDGET
+    return SearchResult(families, complete, walk.nodes, status, reports)
 
 
 def find_one(
@@ -438,9 +433,12 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
     triples with nonempty first-side intersection (the F6 property proved
     for full ultrafilters)?  Problem 10: is the complement-dual of every
     weak ultrafilter a tangle and vice versa, as it is for ultrafilters?
-    For symmetric f, problem 10 is problem 9 read through reversal: every
-    tangle's dual is a weak ultrafilter, and a weak ultrafilter's dual is a
-    tangle iff it passes F6, else it fails at T3 (proof: README, hunts).
+    For symmetric f, problem 9 asks whether every weak ultrafilter is an
+    ultrafilter, since a weak ultrafilter is one iff it passes F6; and
+    problem 10 is problem 9 read through reversal: every tangle's dual is a
+    weak ultrafilter, and a weak ultrafilter's dual is a tangle iff it
+    passes F6, else it fails at T3 (proofs: README, hunts).  A corpus with
+    no systems is refused, since a hunt over nothing shows nothing.
 
     Identical corpus and budget give an identical verdict, in which equal
     member-mask tuples and witnesses are one tuple each.
@@ -452,6 +450,8 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
         check_int(kmax, "kmax")
     budget = budget or SearchBudget()
     systems = corpus.systems()
+    if not systems:
+        raise ValueError("the corpus holds no systems")
     counterexamples = []
     shared = {}  # a tuple of masks -> its one tuple in this verdict
 

@@ -26,6 +26,7 @@ from tanglekit import (
     branch_width,
     build_system,
     builtin_system,
+    check_axiom,
     check_structure,
     dual_family,
     efficient_masks,
@@ -37,9 +38,11 @@ from tanglekit import (
     min_cardinality_system,
     save,
     standard_corpus,
+    system_descriptor,
     verify_branchwidth_duality,
     verify_theorem,
 )
+from tanglekit.separations import mask_elements
 
 # sum of (max_order + 1) over the 28 corpus systems
 TOTAL_POINTS = 133
@@ -271,7 +274,7 @@ def test_criterion_08_exactly_one_orientation(
     assert not violations
 
 
-def test_criterion_09_hunters(corpus, capsys, tmp_path_factory):
+def test_criterion_09_hunters(corpus, points, families, capsys, tmp_path_factory):
     out = tmp_path_factory.mktemp("hunts")
     texts = {}
     verdicts = {}
@@ -290,14 +293,27 @@ def test_criterion_09_hunters(corpus, capsys, tmp_path_factory):
         verdicts[p]["status"] != "budget_exhausted" for p in (9, 10)
     )
 
+    # the premise: each family is of the kind its claim names
+    premise = {
+        "weak_ultrafilter_triple_intersection": StructureKind.WEAK_ULTRAFILTER,
+        "weak_ultrafilter_dual_not_tangle": StructureKind.WEAK_ULTRAFILTER,
+        "tangle_dual_not_weak_ultrafilter": StructureKind.TANGLE,
+    }
     recheck_failures = []
+    premise_failures = []
+    witness_failures = []
     for problem in (9, 10):
         for ce in verdicts[problem]["counterexamples"]:
             system = build_system(ce["system"])
             masks = [sum(1 << e for e in side) for side in ce["sides"]]
             fam = SeparationFamily.from_masks(system, ce["k"], masks)
+            if not check_structure(system, ce["k"], fam, premise[ce["claim"]]).passed:
+                premise_failures.append((problem, ce["claim"], ce["k"]))
             if ce["claim"] == "weak_ultrafilter_triple_intersection":
                 checked, kind = fam, StructureKind.ULTRAFILTER
+                witness = tuple(sum(1 << e for e in side) for side in ce["witness"])
+                if witness != check_axiom(system, ce["k"], fam, AxiomId.F6).witness:
+                    witness_failures.append((ce["k"], witness))
             else:
                 dual = dual_family(fam)
                 kind = (StructureKind.TANGLE
@@ -309,28 +325,47 @@ def test_criterion_09_hunters(corpus, capsys, tmp_path_factory):
             if report.passed or failing.passed:
                 recheck_failures.append((problem, ce["claim"], ce["k"]))
 
-    # the problem-10 lemma (see ``hunt``): hunt 10 reports exactly hunt 9's
-    # families, each as a weak ultrafilter whose dual fails T3; corpus systems
-    # can share a descriptor (min3 and min_card3), so compare as multisets
-    families = {
-        p: sorted((json.dumps(ce["system"]), ce["k"], tuple(map(tuple, ce["sides"])))
+    # corpus systems can share a descriptor (min3 and min_card3), so compare
+    # families as multisets of (descriptor, k, sides)
+    found_families = {
+        p: sorted((json.dumps(ce["system"], sort_keys=True), ce["k"],
+                   tuple(map(tuple, ce["sides"])))
                   for ce in verdicts[p]["counterexamples"])
         for p in (9, 10)
     }
-    lemma = families[9] == families[10] and all(
+    # the problem-9 lemma (see ``hunt``): hunt 9 reports exactly the weak
+    # ultrafilters that are not ultrafilters, as criterion 5 enumerates them
+    weak_not_ultra = []
+    for i, k in points:
+        descriptor = json.dumps(system_descriptor(corpus[i]), sort_keys=True)
+        ultra = {fam.member_masks for fam in families(i, "ultrafilter", k)}
+        weak_not_ultra += [
+            (descriptor, k, tuple(map(tuple, map(mask_elements, fam.member_masks))))
+            for fam in families(i, "weak_ultrafilter", k)
+            if fam.member_masks not in ultra
+        ]
+    problem_nine_lemma = found_families[9] == sorted(weak_not_ultra)
+    # the problem-10 lemma: hunt 10 reports exactly hunt 9's families, each as
+    # a weak ultrafilter whose dual fails T3
+    problem_ten_lemma = found_families[9] == found_families[10] and all(
         (ce["claim"], ce["failing_axiom"]) == ("weak_ultrafilter_dual_not_tangle", "T3")
         for ce in verdicts[10]["counterexamples"]
     )
 
     found = {p: len(verdicts[p]["counterexamples"]) for p in (9, 10)}
-    ok = identical and complete and not recheck_failures and lemma
+    ok = (identical and complete and not recheck_failures and not premise_failures
+          and not witness_failures and problem_nine_lemma and problem_ten_lemma)
     announce(capsys, 9, ok,
              f"both hunts completed with byte-identical verdict files; "
-             f"counterexamples found {found} and all re-fail the checkers")
+             f"counterexamples found {found}, each of the kind its claim "
+             f"names and re-failing the checkers; problem 9's are the weak "
+             f"ultrafilters that are not ultrafilters")
     assert complete
     assert identical
     assert not recheck_failures
-    assert found[9] > 0 and lemma
+    assert not premise_failures, f"families not of their claimed kind: {premise_failures[:5]}"
+    assert not witness_failures, f"witnesses other than F6's: {witness_failures[:5]}"
+    assert found[9] > 0 and problem_nine_lemma and problem_ten_lemma
 
 
 def test_criterion_10_plumbing(tmp_path, capsys):

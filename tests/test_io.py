@@ -737,6 +737,7 @@ class TestStreamedSave:
             (labelled, SchemaError,
              r"counterexamples\[0\]\.system\.vertices\[1\] is not encodable as UTF-8"),
             ([min3, named], SchemaError, "system is not encodable as UTF-8"),
+            (_deep_tree(), SchemaError, "^document: nested too deeply$"),
         ]
 
     def test_a_failed_save_keeps_an_existing_target(self, tmp_path, min3):
@@ -971,10 +972,15 @@ def _nested(depth):
     return "[" * depth + "0" + "]" * depth
 
 
+def _deep_tree():
+    """A parsed branch-width document whose tree the check recurses into past the limit."""
+    return {"version": 1, "system": "c4", "width": 2, "tree": json.loads(_nested(500))}
+
+
 class TestUnreadableValues:
-    """What the interpreter cannot read is a ``SchemaError`` naming the file:
-    nesting past the recursion limit and integers of more digits than ``int``
-    converts."""
+    """What the interpreter cannot read is a ``SchemaError`` naming the file,
+    or the document where no file is read: nesting past the recursion limit
+    and integers of more digits than ``int`` converts."""
 
     def deep_files(self, tmp_path):
         # a branch-width tree the check recurses into, and arrays nested past
@@ -989,6 +995,10 @@ class TestUnreadableValues:
                 load_document(path)
         shallow = '{"version": 1, "system": "c4", "width": 2, "tree": %s}' % _nested(100)
         assert load_document(write(tmp_path, shallow))["tree"] == json.loads(_nested(100))
+        # the same tree parsed by the caller: every call refuses it alike
+        for call in (to_document, io.dumps):
+            with pytest.raises(SchemaError, match="^document: nested too deeply$"):
+                call(_deep_tree())
 
     def test_deep_nesting_exits_two(self, tmp_path):
         for path in self.deep_files(tmp_path):

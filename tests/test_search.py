@@ -21,6 +21,7 @@ from tanglekit import (
     SeparationFamily,
     StructureKind,
     builtin_system,
+    check_axiom,
     check_structure,
     dual_family,
     enumerate_all,
@@ -160,13 +161,19 @@ class TestEnumerateAll:
         from tanglekit import search
 
         leaves = []
-        emit = search._Searcher._emit_if_valid
 
-        def recorded(searcher):
-            leaves.append(set(searcher.assignment) == set(searcher.slots))
-            emit(searcher)
+        class Recorded(search._Walk):
+            def __init__(self, *args):
+                super().__init__(*args)
+                leaf = self.leaf
 
-        monkeypatch.setattr(search._Searcher, "_emit_if_valid", recorded)
+                def recorded(masks):
+                    leaves.append(set(self.assignment) == set(self.slots))
+                    leaf(masks)
+
+                self.leaf = recorded
+
+        monkeypatch.setattr(search, "_Walk", Recorded)
         hyper6 = next(s for s in standard_corpus() if s.n == 6)
         for system in (c4, k4, hyper6):
             for k in range(system.max_order() + 1):
@@ -330,8 +337,10 @@ class TestProblemTenLemma:
         """For symmetric f at every k, the dual of a tangle is a weak
         ultrafilter, and the dual of a weak ultrafilter is a tangle iff the
         weak ultrafilter passes F6: problem 10 is problem 9 read through
-        reversal.  120 seeded hyperedge systems with 2 <= n <= 5."""
-        counts = {"tangles": 0, True: 0, False: 0}
+        reversal.  And the problem-9 lemma: a weak ultrafilter passes F6 iff
+        it is an ultrafilter, and one that fails F6 fails F5.  120 seeded
+        hyperedge systems with 2 <= n <= 5."""
+        counts = {"tangles": 0, "ultrafilters": 0, True: 0, False: 0}
         for seed in range(120):
             n = 2 + seed % 4
             system = random_hyperedge_system(n, 1 + seed % 7, min(3, n), seed)
@@ -340,14 +349,23 @@ class TestProblemTenLemma:
                     dual = dual_family(fam)
                     assert check_structure(system, k, dual, "weak_ultrafilter").passed
                     counts["tangles"] += 1
+                ultras = {
+                    fam.member_masks
+                    for fam in enumerate_all(StructureKind.ULTRAFILTER, system, k).families
+                }
+                counts["ultrafilters"] += len(ultras)
                 wufs = enumerate_all(StructureKind.WEAK_ULTRAFILTER, system, k)
                 for fam, report in zip(wufs.families, wufs.reports):
                     f6 = report.result(AxiomId.F6).passed
                     dual = dual_family(fam)
                     assert check_structure(system, k, dual, "tangle").passed == f6
+                    assert (fam.member_masks in ultras) == f6
+                    if not f6:
+                        assert not check_axiom(system, k, fam, AxiomId.F5).passed
                     counts[f6] += 1
-        # both sides of the iff are met, and the F6 passers pair off with the tangles
-        assert counts == {"tangles": 441, True: 441, False: 3672}
+        # both sides of each iff are met, and the F6 passers pair off with the
+        # tangles and are all the ultrafilters
+        assert counts == {"tangles": 441, "ultrafilters": 441, True: 441, False: 3672}
 
 
 class TestFindOne:
@@ -449,9 +467,11 @@ class TestHunt:
         assert verdict.structures_examined == 1
 
     def test_empty_corpus(self):
-        verdict = hunt(9, NamedCorpus(()))
-        assert verdict.status == HUNT_NONE_FOUND
-        assert (verdict.systems_examined, verdict.structures_examined) == (0, 0)
+        # a hunt that examined nothing would report no counterexample found
+        for corpus in (NamedCorpus(()), HuntCorpus(sizes=(), base_seed=0)):
+            for problem in (9, 10):
+                with pytest.raises(ValueError, match="no systems"):
+                    hunt(problem, corpus)
 
     def test_budget_exhaustion_is_flagged(self, min3):
         verdict = hunt(9, NamedCorpus((min3,)), SearchBudget(max_nodes=1))

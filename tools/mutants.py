@@ -130,6 +130,24 @@ MUTANTS = (
         ("tests/test_structures.py::TestKernelReadsNoScalarOrder",),
     ),
     Mutant(
+        "hunt-over-no-systems", SEARCH,
+        '    if not systems:\n        raise ValueError("the corpus holds no systems")\n',
+        "",
+        HUNT_TESTS,
+    ),
+    # (emptyset, X) turned round: a leaf that fails F2, so no weak ultrafilter,
+    # and fails F6 at (emptyset, emptyset, emptyset); its witness is F6's own
+    Mutant(
+        "problem-9-reports-a-leaf-that-is-no-weak-ultrafilter", SEARCH,
+        "                    f6 = report.result(AxiomId.F6)\n",
+        "                    fam = SeparationFamily(system, k, (\n"
+        "                        0, *sorted(set(fam.member_masks) - {system.full_mask})\n"
+        "                    ))\n"
+        "                    f6 = check_structure(system, k, fam, StructureKind.ULTRAFILTER)"
+        ".result(AxiomId.F6)\n",
+        ("tests/test_acceptance.py::test_criterion_09_hunters",),
+    ),
+    Mutant(
         "hunt-decides-f6-again", SEARCH,
         "f6 = report.result(AxiomId.F6)",
         "f6 = check_structure(system, k, fam, StructureKind.ULTRAFILTER)"
@@ -319,7 +337,10 @@ MUTANTS = (
     ),
     Mutant(
         "gc-pause-without-finally", IO,
-        "    try:\n        yield\n    finally:\n        _MEMO.reset(token)\n"
+        "    try:\n        yield\n    except RecursionError as exc:"
+        "  # in the scanner, a branch-width tree or the emitter\n"
+        '        raise SchemaError(f"{where}: nested too deeply") from exc\n'
+        "    finally:\n        _MEMO.reset(token)\n"
         "        if enabled:\n            gc.enable()",
         "    yield\n    _MEMO.reset(token)\n    if enabled:\n        gc.enable()",
         GC_TESTS,
@@ -486,9 +507,16 @@ MUTANTS = (
     ),
     Mutant(
         "deep-nesting-escapes-as-recursion-error", IO,
-        "        except RecursionError as exc:  # in the scanner, or a branch-width tree\n"
-        '            raise SchemaError(f"{path}: nested too deeply") from exc\n',
+        "    except RecursionError as exc:  # in the scanner, a branch-width tree or the emitter\n"
+        '        raise SchemaError(f"{where}: nested too deeply") from exc\n',
         "",
+        UNREADABLE_TESTS,
+    ),
+    Mutant(
+        "deep-nesting-refused-by-the-loader-alone", IO,
+        '        raise SchemaError(f"{where}: nested too deeply") from exc\n',
+        '        if where == "document":\n            raise\n'
+        '        raise SchemaError(f"{where}: nested too deeply") from exc\n',
         UNREADABLE_TESTS,
     ),
     Mutant(
