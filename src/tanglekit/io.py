@@ -700,8 +700,11 @@ def _emitter():
             if not value:
                 return "{}"
             inner = nl + "  "
-            items = [encode_basestring(k) + ": " + emit(v, inner) for k, v in value.items()]
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
+            try:
+                items = [encode_basestring(k) + ": " + emit(v, inner) for k, v in value.items()]
+                return "{" + inner + ("," + inner).join(items) + nl + "}"
+            except TypeError:  # a key that is no str, which json.dumps converts
+                pass
         if kind is int:
             return int.__repr__(value)
         if value is None or value is True or value is False:
@@ -764,7 +767,7 @@ def save(document, path) -> None:
         doc = _documents(document)
         for d in doc if isinstance(doc, list) else (doc,):
             if "corpus" in d:  # the one field no check types: written to UTF-8
-                _write(d["corpus"], str.encode)
+                _emitter()(d["corpus"], "\n").encode()
         with Path(path).open("w", encoding="utf-8") as file:
             _write(doc, file.write)
             file.write("\n")

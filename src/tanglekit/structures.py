@@ -26,10 +26,15 @@ forbids (B1 cap B2, A1 cup A2) instead.  SP3 is analogous (the literal form
 is refuted by the forced member (emptyset, X) whenever a k-efficient element
 exists).  Both readings are kept; ``corrected`` is the default.
 
-Reversing every member, (A, B) -> (B, A), turns small sides into big ones,
-so five clauses are written once and read a second time through reversal
-(the checker XORs ``flip``, 0 or the full mask, into the masks it scans and
-back out of the witness, or swaps up- and down-closure):
+``_CHECKS`` holds one entry per axiom.  A check returns None when its
+clause holds and otherwise its first failure, a pair (witness masks,
+element); ``_run``, the one reader of ``_CHECKS``, turns that into an
+``AxiomResult``.  A clause with two readings is entered as
+``partial(check, reading)``: T2/P4 against F3 (``inside``), and the five
+clauses that reversing every member, (A, B) -> (B, A), reads a second time
+(``reverse``).  Reversal turns small sides into big ones, so a reversed
+reading XORs ``flip``, the full mask, into the masks it scans and back out
+of the witness, or swaps up- and down-closure:
 
 =============  ==========================  ===============================
 clause         read through reversal       shared check
@@ -64,7 +69,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
+from itertools import combinations_with_replacement
 
 from .connectivity import ENUMERATION_LIMIT, ConnectivitySystem, check_int
 from .exceptions import FilterBaseError
@@ -115,44 +121,21 @@ class StructureKind(str, Enum):
 
 
 # kinds that orient separations and can be enumerated by orientation search
-ORIENTATION_KINDS = (
-    StructureKind.TANGLE,
-    StructureKind.LINEAR_TANGLE,
-    StructureKind.ULTRAFILTER,
-    StructureKind.SINGLE_ULTRAFILTER,
-    StructureKind.WEAK_ULTRAFILTER,
-    StructureKind.PROFILE,
-    StructureKind.NON_PRINCIPAL_PROFILE,
-    StructureKind.LINEAR_PROFILE,
-    StructureKind.NON_PRINCIPAL_LINEAR_PROFILE,
-)
+ORIENTATION_KINDS = tuple(k for k in StructureKind if k is not StructureKind.FILTER_BASE)
 
-_VARIANT_SLOTS = {
-    "P3a": {"literal": AxiomId.P3A_LITERAL, "corrected": AxiomId.P3A_CORRECTED},
-    "SP3": {"literal": AxiomId.SP3_LITERAL, "corrected": AxiomId.SP3_CORRECTED},
-}
-
+# each kind's clauses as the module docstring lists them; P3a and SP3 name
+# the slot that ``variant`` fills
 _KIND_AXIOMS = {
-    StructureKind.TANGLE: (AxiomId.T1, AxiomId.T2, AxiomId.T3),
-    StructureKind.LINEAR_TANGLE: (AxiomId.T1, AxiomId.T2, AxiomId.LT3),
-    StructureKind.ULTRAFILTER: (
-        AxiomId.F1, AxiomId.F2, AxiomId.F3, AxiomId.F4, AxiomId.F5,
-    ),
-    StructureKind.SINGLE_ULTRAFILTER: (
-        AxiomId.F1, AxiomId.F2, AxiomId.F3, AxiomId.F4, AxiomId.SF5,
-    ),
-    StructureKind.WEAK_ULTRAFILTER: (
-        AxiomId.F1, AxiomId.F2, AxiomId.F3, AxiomId.F4, AxiomId.WF5,
-    ),
-    StructureKind.PROFILE: (AxiomId.P1, AxiomId.P2, "P3a", AxiomId.P3B),
-    StructureKind.NON_PRINCIPAL_PROFILE: (
-        AxiomId.P1, AxiomId.P2, "P3a", AxiomId.P3B, AxiomId.P4,
-    ),
-    StructureKind.LINEAR_PROFILE: (AxiomId.P1, AxiomId.P2, "SP3"),
-    StructureKind.NON_PRINCIPAL_LINEAR_PROFILE: (
-        AxiomId.P1, AxiomId.P2, "SP3", AxiomId.P4,
-    ),
-    StructureKind.FILTER_BASE: (AxiomId.FB1, AxiomId.FB2),
+    StructureKind.TANGLE: "T1 T2 T3",
+    StructureKind.LINEAR_TANGLE: "T1 T2 LT3",
+    StructureKind.ULTRAFILTER: "F1 F2 F3 F4 F5",
+    StructureKind.SINGLE_ULTRAFILTER: "F1 F2 F3 F4 SF5",
+    StructureKind.WEAK_ULTRAFILTER: "F1 F2 F3 F4 WF5",
+    StructureKind.PROFILE: "P1 P2 P3a P3b",
+    StructureKind.NON_PRINCIPAL_PROFILE: "P1 P2 P3a P3b P4",
+    StructureKind.LINEAR_PROFILE: "P1 P2 SP3",
+    StructureKind.NON_PRINCIPAL_LINEAR_PROFILE: "P1 P2 SP3 P4",
+    StructureKind.FILTER_BASE: "FB1 FB2",
 }
 
 _DIAGNOSTICS = {
@@ -174,9 +157,9 @@ def axiom_ids(kind: StructureKind, variant: str = "corrected") -> tuple[AxiomId,
 @cache
 def _resolve(kind, variant):
     # every search and every check resolves its list, so resolve each pair once
-    return (AxiomId.P0,) + tuple(
-        _VARIANT_SLOTS[a][variant] if not isinstance(a, AxiomId) else a
-        for a in _KIND_AXIOMS[kind]
+    return tuple(
+        AxiomId(f"{a}_{variant}" if a in ("P3a", "SP3") else a)
+        for a in ("P0", *_KIND_AXIOMS[kind].split())
     )
 
 
@@ -292,12 +275,17 @@ def _ok(axiom):
     return AxiomResult(axiom, True)
 
 
-def _fail(axiom, masks, element=None):
+def _run(axiom, ctx):
+    """The axiom's result: its check returns None or its first failure."""
+    failure = _CHECKS[axiom](ctx)
+    if failure is None:
+        return _ok(axiom)
+    masks, element = failure
     return AxiomResult(axiom, False, masks, element)
 
 
 # ---------------------------------------------------------------------------
-# individual axiom checks; each is the literal clause, and its first witness
+# individual axiom checks; each is the literal clause, and its first failure
 # is the first hit of a scan in canonical order
 
 
@@ -308,26 +296,24 @@ def _check_p0(ctx):
         first = _lowest(high) if high else None
     else:
         first = next((m for m in ctx.masks if ctx.system.evaluate(m) > ctx.k), None)
-    return _ok(AxiomId.P0) if first is None else _fail(AxiomId.P0, (first,))
+    return None if first is None else ((first,), None)
 
 
-def _check_orientation(axiom, ctx):
+def _check_orientation(ctx):
     # T1 / F1 / P1: every separation of order <= k has an oriented member.
     # m ranges over the masks without the top element, those with m < X ^ m;
     # f is read at m alone, as f need not be symmetric
     lower = (1 << (1 << ctx.n - 1)) - 1
     unoriented = ctx.eff.bits & lower & ~(ctx.bits | ctx.reversed_bits)
-    if unoriented:
-        return _fail(axiom, (_lowest(unoriented),))
-    return _ok(axiom)
+    return ((_lowest(unoriented),), None) if unoriented else None
 
 
-def _check_singletons(axiom, ctx, inside):
+def _check_singletons(inside, ctx):
     # T2 / P4: ({e}, X minus {e}) is a member for each k-efficient e; F3: none is
     for e in ctx.eff.elements:
         if ((1 << e) in ctx.mask_set) is not inside:
-            return _fail(axiom, (1 << e,), element=e)
-    return _ok(axiom)
+            return (1 << e,), e
+    return None
 
 
 def _check_lt3(ctx):
@@ -338,21 +324,19 @@ def _check_lt3(ctx):
             a12 = a1 | ms[j]
             for e, bit in singles:
                 if a12 | bit == ctx.full:
-                    return _fail(AxiomId.LT3, (a1, ms[j]), element=e)
-    return _ok(AxiomId.LT3)
+                    return (a1, ms[j]), e
+    return None
 
 
 def _check_t4(ctx):
     # diagnostic: (emptyset, X) is a member whenever it is orientable at all
     if ctx.system.evaluate(0) <= ctx.k and 0 not in ctx.mask_set:
-        return _fail(AxiomId.T4, (0,))
-    return _ok(AxiomId.T4)
+        return (0,), None
+    return None
 
 
 def _check_f2(ctx):
-    if 0 in ctx.mask_set:
-        return _fail(AxiomId.F2, (0,))
-    return _ok(AxiomId.F2)
+    return ((0,), None) if 0 in ctx.mask_set else None
 
 
 def _check_sf5(ctx):
@@ -360,21 +344,18 @@ def _check_sf5(ctx):
         for e in ctx.eff.elements:
             shrunk = a & ~(1 << e)
             if shrunk not in ctx.mask_set and ctx.within(shrunk):
-                return _fail(AxiomId.SF5, (a, shrunk), element=e)
-    return _ok(AxiomId.SF5)
+                return (a, shrunk), e
+    return None
 
 
 def _check_wf5(ctx):
     # if (emptyset, X) has order <= k, no two members (or one, twice) are
     # disjoint: a misses b iff a lies below X ^ b
-    if ctx.system.evaluate(0) > ctx.k:
-        return _ok(AxiomId.WF5)
-    apart = ctx.bits & _down(ctx.reversed_bits, ctx.n)
+    apart = ctx.system.evaluate(0) <= ctx.k and ctx.bits & _down(ctx.reversed_bits, ctx.n)
     if not apart:
-        return _ok(AxiomId.WF5)
+        return None
     a = _lowest(apart)  # every member a misses is in ``apart`` too, so above a
-    b = _lowest(ctx.bits & _down(1 << (ctx.full ^ a), ctx.n))
-    return _fail(AxiomId.WF5, (a, b))
+    return (a, _lowest(ctx.bits & _down(1 << (ctx.full ^ a), ctx.n))), None
 
 
 def _check_consistent(ctx):
@@ -382,17 +363,18 @@ def _check_consistent(ctx):
     for a in ctx.masks:
         for d in ctx.masks:
             if (ctx.full ^ d) & ~a == 0:
-                return _fail(AxiomId.CONSISTENT, (a, d))
-    return _ok(AxiomId.CONSISTENT)
+                return (a, d), None
+    return None
 
 
 # ---------------------------------------------------------------------------
-# clauses read a second time through reversal: ``flip`` is 0 for the clause
-# and the full mask for its reversed reading (see the module docstring)
+# clauses read a second time through reversal: ``reverse`` selects the
+# reversed reading, whose ``flip`` is the full mask (see the module docstring)
 
 
-def _check_cover(axiom, ctx, flip):
+def _check_cover(reverse, ctx):
     # T3: no member triple covers X; F6 reads it through reversal
+    flip = ctx.full if reverse else 0
     full = ctx.full
     ms = [m ^ flip for m in ctx.masks]
     for i, a1 in enumerate(ms):
@@ -400,98 +382,90 @@ def _check_cover(axiom, ctx, flip):
             a12 = a1 | ms[j]
             for l in range(j, len(ms)):
                 if a12 | ms[l] == full:
-                    return _fail(axiom, (a1 ^ flip, ms[j] ^ flip, ms[l] ^ flip))
-    return _ok(axiom)
+                    return (a1 ^ flip, ms[j] ^ flip, ms[l] ^ flip), None
+    return None
 
 
-def _check_below(axiom, ctx, flip):
+def _check_below(reverse, ctx):
     # P2: k-efficient sets below a member are members; F4 reads it through
     # reversal, so k-efficient sets above a member are members
-    below, above = (_up, _down) if flip else (_down, _up)
+    below, above = (_up, _down) if reverse else (_down, _up)
     # the context first: past the cap it raises before a closure is built
     missing = ctx.eff.bits & below(ctx.bits, ctx.n) & ~ctx.bits
     if not missing:
-        return _ok(axiom)
+        return None
     a = _lowest(ctx.bits & above(missing, ctx.n))
-    return _fail(axiom, (a, _lowest(missing & below(1 << a, ctx.n))))
+    return (a, _lowest(missing & below(1 << a, ctx.n))), None
 
 
-def _check_join(axiom, ctx, flip):
+def _check_join(reverse, ctx):
     # P3b: the join of two members is a member if its order is <= k; F5 reads
     # it through reversal, so the meet is
+    flip = ctx.full if reverse else 0
     ms = [m ^ flip for m in ctx.masks]
     for i, a1 in enumerate(ms):
         for j in range(i, len(ms)):
             join = (a1 | ms[j]) ^ flip
             if join not in ctx.mask_set and ctx.within(join):
-                return _fail(axiom, (a1 ^ flip, ms[j] ^ flip, join))
-    return _ok(axiom)
+                return (a1 ^ flip, ms[j] ^ flip, join), None
+    return None
 
 
-def _check_meet_ban(axiom, ctx, flip):
+def _check_meet_ban(reverse, ctx):
     # P3a: the meet of two members is no member; the corrected reading bans
     # the meet of their reversals
+    flip = ctx.full if reverse else 0
     ms = [m ^ flip for m in ctx.masks]
     for a1 in ms:
         for a2 in ms:
             banned = a1 & a2
             if banned in ctx.mask_set:
-                return _fail(axiom, (a1 ^ flip, a2 ^ flip, banned))
-    return _ok(axiom)
+                return (a1 ^ flip, a2 ^ flip, banned), None
+    return None
 
 
-def _check_deletion_ban(axiom, ctx, flip):
+def _check_deletion_ban(reverse, ctx):
     # SP3: a member less one k-efficient element is no member; the corrected
     # reading bans the reversal less that element
+    flip = ctx.full if reverse else 0
     for a in ctx.masks:
         for e in ctx.eff.elements:
             banned = (a ^ flip) & ~(1 << e)
             if banned in ctx.mask_set:
-                return _fail(axiom, (a, banned), element=e)
-    return _ok(axiom)
+                return (a, banned), e
+    return None
 
 
 def _check_fb1(ctx):
-    if not ctx.masks:
-        return AxiomResult(AxiomId.FB1, False)
-    return _ok(AxiomId.FB1)
+    return None if ctx.masks else ((), None)
 
 
 def _check_fb2(ctx):
-    ms = ctx.masks
-    for i, a1 in enumerate(ms):
-        for j in range(i, len(ms)):
-            meet = a1 & ms[j]
-            found = any(
-                a3 & ~meet == 0 and ctx.within(a3) for a3 in ms
-            )
-            if not found:
-                return _fail(AxiomId.FB2, (a1, ms[j]))
-    return _ok(AxiomId.FB2)
+    for a1, a2 in combinations_with_replacement(ctx.masks, 2):
+        meet = a1 & a2
+        if not any(a3 & ~meet == 0 and ctx.within(a3) for a3 in ctx.masks):
+            return (a1, a2), None
+    return None
 
 
 _CHECKS = {
     AxiomId.P0: _check_p0,
-    AxiomId.T1: lambda ctx: _check_orientation(AxiomId.T1, ctx),
-    AxiomId.F1: lambda ctx: _check_orientation(AxiomId.F1, ctx),
-    AxiomId.P1: lambda ctx: _check_orientation(AxiomId.P1, ctx),
-    AxiomId.T2: lambda ctx: _check_singletons(AxiomId.T2, ctx, True),
-    AxiomId.P4: lambda ctx: _check_singletons(AxiomId.P4, ctx, True),
-    AxiomId.F3: lambda ctx: _check_singletons(AxiomId.F3, ctx, False),
-    AxiomId.T3: lambda ctx: _check_cover(AxiomId.T3, ctx, 0),
-    AxiomId.F6: lambda ctx: _check_cover(AxiomId.F6, ctx, ctx.full),
-    AxiomId.P2: lambda ctx: _check_below(AxiomId.P2, ctx, 0),
-    AxiomId.F4: lambda ctx: _check_below(AxiomId.F4, ctx, ctx.full),
-    AxiomId.P3B: lambda ctx: _check_join(AxiomId.P3B, ctx, 0),
-    AxiomId.F5: lambda ctx: _check_join(AxiomId.F5, ctx, ctx.full),
-    AxiomId.P3A_LITERAL: lambda ctx: _check_meet_ban(AxiomId.P3A_LITERAL, ctx, 0),
-    AxiomId.P3A_CORRECTED: lambda ctx: _check_meet_ban(
-        AxiomId.P3A_CORRECTED, ctx, ctx.full
-    ),
-    AxiomId.SP3_LITERAL: lambda ctx: _check_deletion_ban(AxiomId.SP3_LITERAL, ctx, 0),
-    AxiomId.SP3_CORRECTED: lambda ctx: _check_deletion_ban(
-        AxiomId.SP3_CORRECTED, ctx, ctx.full
-    ),
+    AxiomId.T1: _check_orientation,
+    AxiomId.F1: _check_orientation,
+    AxiomId.P1: _check_orientation,
+    AxiomId.T2: partial(_check_singletons, True),
+    AxiomId.P4: partial(_check_singletons, True),
+    AxiomId.F3: partial(_check_singletons, False),
+    AxiomId.T3: partial(_check_cover, False),
+    AxiomId.F6: partial(_check_cover, True),
+    AxiomId.P2: partial(_check_below, False),
+    AxiomId.F4: partial(_check_below, True),
+    AxiomId.P3B: partial(_check_join, False),
+    AxiomId.F5: partial(_check_join, True),
+    AxiomId.P3A_LITERAL: partial(_check_meet_ban, False),
+    AxiomId.P3A_CORRECTED: partial(_check_meet_ban, True),
+    AxiomId.SP3_LITERAL: partial(_check_deletion_ban, False),
+    AxiomId.SP3_CORRECTED: partial(_check_deletion_ban, True),
     AxiomId.T4: _check_t4,
     AxiomId.LT3: _check_lt3,
     AxiomId.F2: _check_f2,
@@ -519,7 +493,7 @@ def check_axiom(
     whose order exceeds k is a P0 failure, never an exception.
     """
     _validate(system, k, family)
-    return _CHECKS[AxiomId(axiom)](_Ctx(system, k, family))
+    return _run(AxiomId(axiom), _Ctx(system, k, family))
 
 
 def check_structure(
@@ -538,11 +512,9 @@ def check_structure(
     _validate(system, k, family)
     kind = StructureKind(kind)
     ctx = _Ctx(system, k, family)
-    required = axiom_ids(kind, variant)
-    results = [_CHECKS[a](ctx) for a in required]
+    results = [_run(a, ctx) for a in axiom_ids(kind, variant)]
     passed = all(r.passed for r in results)
-    for extra in _DIAGNOSTICS.get(kind, ()):
-        results.append(_CHECKS[extra](ctx))
+    results += [_run(a, ctx) for a in _DIAGNOSTICS.get(kind, ())]
     return StructureReport(kind, k, variant, tuple(results), passed)
 
 
@@ -558,11 +530,9 @@ def check_filter_base_generates(
     _validate(system, k, base)
     ctx = _Ctx(system, k, base)
     for axiom in (AxiomId.FB1, AxiomId.FB2):
-        result = _CHECKS[axiom](ctx)
+        result = _run(axiom, ctx)
         if not result.passed:
-            raise FilterBaseError(
-                f"family is not a filter base: {axiom.value} fails", result
-            )
+            raise FilterBaseError(f"family is not a filter base: {axiom.value} fails", result)
     efficient = ctx.eff.masks  # past the cap this raises before the closure
     above = _up(ctx.bits, system.n)
     closure = [c for c in efficient if above >> c & 1]

@@ -605,6 +605,8 @@ class TestWriter:
     @example({"axiom": [AxiomId.F6, [AxiomId.F6]], "signal": [signal.SIGINT, 1]})
     @example([OrderedDict(a=[1, OrderedDict(b=(2,))], c=OrderedDict()), {"d": OrderedDict(e=1)}])
     @example([[1.5, [0.0, -2.5e-300]], {"f": 1e300}, 1.0])
+    # keys that are no str, which json.dumps converts: {"3": "min3"}
+    @example({"sizes": {3: "min3"}})
     def test_text_matches_json_dumps(self, value):
         """``dumps`` of a hunt verdict whose corpus holds ``value``."""
         doc = {"version": 1, "problem": 9, "corpus": {"value": value}, "systems_examined": 0,
@@ -616,6 +618,7 @@ class TestWriter:
     @given(_TREES)
     @example([{"a": [{"b": [[0, 1], []]}], "c": {"d": [True, 1]}}, [[1], [True]], {}])
     @example({"a": [{"b": 1}, [1, 2], {"c": [[1, 2]]}], "d": {}, "e": [[1.0], [1]]})
+    @example({"sizes": {3: "min3"}})
     def test_streamed_sink_matches_json_dumps(self, value):
         """The pieces ``save`` writes to its file, with one memo per call."""
         sink = StringIO()
@@ -700,6 +703,13 @@ class _SurrogateCorpus(NamedCorpus):
         return {"named": ["b\udc80"]}
 
 
+class _IntKeyCorpus(NamedCorpus):
+    """A corpus whose description has keys that are no str, as JSON converts them."""
+
+    def describe(self):
+        return {3: "min3", "sizes": {3: "min3", None: [1.5, {True: []}]}}
+
+
 def _lists(value):
     """Every list in a JSON tree, by identity (the tree keeps them alive)."""
     found = {}
@@ -764,6 +774,16 @@ class TestStreamedSave:
         with pytest.raises(TypeError) as raised:
             io.dumps(hunt(9, _SetCorpus((min3,))))
         assert str(raised.value) == str(expected.value)
+
+    def test_keys_that_are_no_str_save_as_json_dumps_writes_them(self, tmp_path, min3):
+        verdict = hunt(9, _IntKeyCorpus((min3,)))
+        path = tmp_path / "verdict.json"
+        save(verdict, path)
+        text = json.dumps(io.to_document(verdict), indent=2, ensure_ascii=False) + "\n"
+        assert path.read_text(encoding="utf-8") == io.dumps(verdict) == text
+        assert load_document(path)["corpus"] == {
+            "3": "min3", "sizes": {"3": "min3", "null": [1.5, {"true": []}]},
+        }
 
     def test_no_write_holds_two_counterexamples(self, tmp_path, monkeypatch, min3, c4):
         verdict = hunt(9, NamedCorpus((min3, c4)))

@@ -428,13 +428,13 @@ class TestHunt:
         from tanglekit import structures
 
         calls = []
-        check_cover = structures._check_cover
+        check_f6 = structures._CHECKS[AxiomId.F6]
 
-        def counted(axiom, ctx, flip):
-            calls.append(axiom)
-            return check_cover(axiom, ctx, flip)
+        def counted(ctx):
+            calls.append(AxiomId.F6)
+            return check_f6(ctx)
 
-        monkeypatch.setattr(structures, "_check_cover", counted)
+        monkeypatch.setitem(structures._CHECKS, AxiomId.F6, counted)
         verdict = hunt(9, HuntCorpus(sizes=(3, 3, 4), base_seed=21))
         assert verdict.structures_examined > 0 and verdict.counterexamples
         assert calls == [AxiomId.F6] * verdict.structures_examined

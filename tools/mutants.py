@@ -69,6 +69,7 @@ TO_DOCUMENT_TESTS = ("tests/test_io.py::TestToDocument",)
 UNREADABLE_TESTS = ("tests/test_io.py::TestUnreadableValues",)
 HUNT_DOCUMENT_TESTS = ("tests/test_io.py::TestHuntDocuments",)
 HUNT_TESTS = ("tests/test_search.py::TestHunt",)
+RELABEL_TESTS = ("tests/test_relabelling.py",)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ MUTANTS = (
     ),
     Mutant(
         "f4-without-reversal", STRUCTURES,
-        "below, above = (_up, _down) if flip else (_down, _up)",
+        "below, above = (_up, _down) if reverse else (_down, _up)",
         "below, above = (_down, _up)",
         KERNEL_TESTS,
     ),
@@ -113,9 +114,16 @@ MUTANTS = (
     ),
     Mutant(
         "wf5-without-empty-side-order", STRUCTURES,
-        "if ctx.system.evaluate(0) > ctx.k:\n        return _ok(AxiomId.WF5)",
-        "if False:\n        return _ok(AxiomId.WF5)",
+        "apart = ctx.system.evaluate(0) <= ctx.k and ctx.bits",
+        "apart = ctx.bits",
         KERNEL_TESTS,
+    ),
+    # the relabelling tests alone: reversal that leaves the top element where it is
+    Mutant(
+        "reverse-skips-the-top-element", STRUCTURES,
+        "for step, block in _containing(n):\n        bits = (bits & block)",
+        "for step, block in _containing(n)[:-1]:\n        bits = (bits & block)",
+        RELABEL_TESTS,
     ),
     Mutant(
         "reverse-skips-element-zero", STRUCTURES,
@@ -227,6 +235,12 @@ MUTANTS = (
         WRITER_TESTS,
     ),
     Mutant(
+        "emitter-refuses-a-key-that-is-no-str", IO,
+        "except TypeError:  # a key that is no str",
+        "except ValueError:  # a key that is no str",
+        WRITER_TESTS,
+    ),
+    Mutant(
         "int-list-fast-path-accepts-bool", IO,
         "_INTS = frozenset({int})",
         "_INTS = frozenset({int, bool})",
@@ -236,12 +250,18 @@ MUTANTS = (
         "save-opens-before-the-corpus-check", IO,
         "        for d in doc if isinstance(doc, list) else (doc,):\n"
         '            if "corpus" in d:  # the one field no check types: written to UTF-8\n'
-        '                _write(d["corpus"], str.encode)\n'
+        '                _emitter()(d["corpus"], "\\n").encode()\n'
         '        with Path(path).open("w", encoding="utf-8") as file:\n',
         '        with Path(path).open("w", encoding="utf-8") as file:\n'
         "            for d in doc if isinstance(doc, list) else (doc,):\n"
         '                if "corpus" in d:\n'
-        '                    _write(d["corpus"], str.encode)\n',
+        '                    _emitter()(d["corpus"], "\\n").encode()\n',
+        STREAM_TESTS,
+    ),
+    Mutant(
+        "corpus-trial-walks-the-corpus-as-a-document", IO,
+        '_emitter()(d["corpus"], "\\n").encode()',
+        '_write(d["corpus"], str.encode)',
         STREAM_TESTS,
     ),
     Mutant(
@@ -319,8 +339,8 @@ MUTANTS = (
     ),
     Mutant(
         "save-skips-encoding-the-corpus", IO,
-        '_write(d["corpus"], str.encode)',
-        '_write(d["corpus"], len)',
+        '_emitter()(d["corpus"], "\\n").encode()',
+        '_emitter()(d["corpus"], "\\n")',
         STREAM_TESTS,
     ),
     Mutant(
@@ -401,7 +421,13 @@ MUTANTS = (
         RULE_TESTS,
     ),
     Mutant(
-        "fail-sorts-its-witness", STRUCTURES,
+        "f6-entry-without-reversal", STRUCTURES,
+        "AxiomId.F6: partial(_check_cover, True),",
+        "AxiomId.F6: partial(_check_cover, False),",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "run-sorts-the-witness", STRUCTURES,
         "return AxiomResult(axiom, False, masks, element)",
         "return AxiomResult(axiom, False, tuple(sorted(masks)), element)",
         CHECKER_TESTS,
