@@ -41,7 +41,8 @@ EXHAUSTIVE_VERIFY_LIMIT = 12
 # cheap seeded spot check applied when structured kinds are built
 BUILD_SPOT_CHECK_PAIRS = 128
 # sampled verification evaluates its pairs, and evaluate_many its masks,
-# this many at a time
+# this many at a time; exhaustive verification reads twice as many pairs
+# a block
 SAMPLE_CHUNK = 4096
 
 # descriptor fields of each kind besides "kind", in document order
@@ -117,6 +118,8 @@ class ConnectivitySystem:
 
     def evaluate(self, mask: int) -> int:
         """Return f(A) for the subset encoded by ``mask``, read from the table."""
+        if type(mask) is not int:  # 1.0 and True are no masks; -1 reaches the range check
+            check_int(mask, "mask")
         if mask < 0 or mask > self.full_mask:
             raise self._out_of_range(mask)
         table = self._table
@@ -132,7 +135,10 @@ class ConnectivitySystem:
         Reads the cached table when there is one and never builds it, so it
         serves spot checks at any supported n.
         """
-        masks = np.asarray(masks, dtype=np.int64)
+        masks = np.asarray(masks)
+        if masks.dtype.kind not in "iu":  # a cast would read 1.5 as mask 1
+            raise ValueError(f"masks must be an integer array, got dtype {masks.dtype}")
+        masks = masks.astype(np.int64, copy=False)
         bad = (masks < 0) | (masks > self.full_mask)
         if bad.any():
             raise self._out_of_range(int(masks[bad][0]))
@@ -210,46 +216,44 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _report(mode: str, pairs_checked: int, witnesses: dict) -> VerificationReport:
-    """The report of each check's first offending masks, None where it passed."""
+def _verify(mode: str, pairs_checked: int, chunks) -> VerificationReport:
+    """The four inequalities over ``chunks`` ``(a, b, values)``: int arrays a
+    and b that broadcast together, and f at a, b, a^X, a&b, a|b, a&~b, b&~a
+    and the empty set.  Each witness is the check's first failing pair in C
+    order of the broadcast: (a,) for symmetry and the floor, else (a, b)."""
+    witnesses = dict.fromkeys(CHECK_NAMES)  # name -> first offending masks
+    for a, b, values in chunks:
+        fa, fb, f_comp, f_meet, f_join, f_ab, f_ba, f_empty = values
+        both = fa + fb
+        for name, bad, sides in (
+            (CHECK_SYMMETRY, fa != f_comp, (a,)),
+            (CHECK_EMPTY_SET_MINIMUM, fa < f_empty, (a,)),
+            (CHECK_SUBMODULARITY, both < f_meet + f_join, (a, b)),
+            (CHECK_POSIMODULARITY, both < f_ab + f_ba, (a, b)),
+        ):
+            if witnesses[name] is None and bad.any():
+                at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                witnesses[name] = tuple(int(np.broadcast_to(m, bad.shape)[at]) for m in sides)
+        if all(w is not None for w in witnesses.values()):
+            break
     checks = (VerificationCheck(n, w is None, w or ()) for n, w in witnesses.items())
     return VerificationReport(mode, pairs_checked, tuple(checks))
 
 
-def _verify_exhaustive(system: ConnectivitySystem) -> VerificationReport:
+def _every_pair(system: ConnectivitySystem):
+    """Every pair (a, b) a-major, read off the value table in blocks of
+    rows of a (a column) against every b (a row)."""
     t = system.table()
     size = t.size
     full = size - 1
-    masks = np.arange(size, dtype=np.int64)
-    comp = masks ^ full
-    witnesses = dict.fromkeys(CHECK_NAMES)  # name -> first offending masks
-
-    sym_bad = np.nonzero(t != t[::-1])[0]  # f(complement) read via reversed index
-    if sym_bad.size:
-        witnesses[CHECK_SYMMETRY] = (int(sym_bad[0]),)
-    floor_bad = np.nonzero(t < t[0])[0]
-    if floor_bad.size:
-        witnesses[CHECK_EMPTY_SET_MINIMUM] = (int(floor_bad[0]),)
-
-    for a in range(size):
-        if witnesses[CHECK_SUBMODULARITY] is None:
-            bad = np.nonzero(t[a] + t < t[a & masks] + t[a | masks])[0]
-            if bad.size:
-                witnesses[CHECK_SUBMODULARITY] = (a, int(bad[0]))
-        if witnesses[CHECK_POSIMODULARITY] is None:
-            bad = np.nonzero(t[a] + t < t[a & comp] + t[masks & (a ^ full)])[0]
-            if bad.size:
-                witnesses[CHECK_POSIMODULARITY] = (a, int(bad[0]))
-        if (
-            witnesses[CHECK_SUBMODULARITY] is not None
-            and witnesses[CHECK_POSIMODULARITY] is not None
-        ):
-            break
-
-    report = _report("exhaustive", size * size, witnesses)
-    if report.passed:
-        system.verified = True
-    return report
+    b = np.arange(size, dtype=np.int64)
+    # 2 * SAMPLE_CHUNK pairs a block: each pair array stays at 64 KiB, under
+    # glibc's 128 KiB mmap threshold, past which every block faults in pages
+    rows = max(1, 2 * SAMPLE_CHUNK // size)
+    for start in range(0, size, rows):
+        a = b[start:start + rows, None]
+        yield a, b, (t[a], t, t[a ^ full], t.take(a & b), t.take(a | b),
+                     t.take(a & ~b), t.take(b & ~a), t[0])
 
 
 def _draw_chunks(n: int, samples: int, seed: int):
@@ -277,30 +281,12 @@ def _one_chunk_draw(n: int, samples: int, seed: int) -> tuple[np.ndarray, ...]:
     return tuple(_draw_chunks(n, samples, seed))
 
 
-def _verify_sampled(system: ConnectivitySystem, samples: int, seed: int) -> VerificationReport:
-    if samples <= SAMPLE_CHUNK:
-        chunks = _one_chunk_draw(system.n, samples, seed)
-    else:
-        chunks = _draw_chunks(system.n, samples, seed)
-    witnesses = dict.fromkeys(CHECK_NAMES)  # name -> first offending masks
-    for chunk in chunks:
+def _sampled_pairs(system: ConnectivitySystem, samples: int, seed: int):
+    draw = _one_chunk_draw if samples <= SAMPLE_CHUNK else _draw_chunks
+    for chunk in draw(system.n, samples, seed):
         # one call per chunk: the appended last mask is the empty set
         values = system.evaluate_many(np.append(chunk, 0))
-        f_empty = values[-1]
-        fa, fb, f_comp, f_meet, f_join, f_ab, f_ba = values[:-1].reshape(chunk.shape)
-        for name, bad, width in (
-            (CHECK_SYMMETRY, fa != f_comp, 1),
-            (CHECK_EMPTY_SET_MINIMUM, fa < f_empty, 1),
-            (CHECK_SUBMODULARITY, fa + fb < f_meet + f_join, 2),
-            (CHECK_POSIMODULARITY, fa + fb < f_ab + f_ba, 2),
-        ):
-            if witnesses[name] is None and bad.any():
-                # the first failing pair; width 1 keeps only a, width 2 (a, b)
-                column = chunk[:width, int(np.argmax(bad))]
-                witnesses[name] = tuple(int(m) for m in column)
-        if all(w is not None for w in witnesses.values()):
-            break
-    return _report("sampled", samples, witnesses)
+        yield chunk[0], chunk[1], (*values[:-1].reshape(chunk.shape), values[-1])
 
 
 def verify_axioms(
@@ -312,10 +298,10 @@ def verify_axioms(
 ) -> VerificationReport:
     """Check symmetry, submodularity and the two implied inequalities.
 
-    ``exhaustive`` walks every subset pair and is limited to n <= 12; it sets
-    the system's ``verified`` flag on a full pass.  ``sampled`` draws
-    ``samples`` >= 1 seeded random pairs and works at any supported size;
-    the witness of each check is its first failing pair in draw order.
+    ``exhaustive`` walks every subset pair a-major and is limited to n <= 12;
+    it sets the system's ``verified`` flag on a full pass.  ``sampled`` draws
+    ``samples`` >= 1 seeded random pairs and works at any supported size.
+    The witness of each check is its first failing pair in that order.
     Failures are report content with witness masks, never exceptions.
     """
     if mode == "exhaustive":
@@ -323,11 +309,14 @@ def verify_axioms(
             raise GroundSetLimitError(
                 "exhaustive verification", system.n, EXHAUSTIVE_VERIFY_LIMIT
             )
-        return _verify_exhaustive(system)
+        report = _verify(mode, 4 ** system.n, _every_pair(system))
+        if report.passed:
+            system.verified = True
+        return report
     if mode == "sampled":
         # a run that draws no pair would report a pass having examined nothing
         check_int(samples, "samples", 1)
-        return _verify_sampled(system, samples, seed)
+        return _verify(mode, samples, _sampled_pairs(system, samples, seed))
     raise ValueError(f"unknown verification mode {mode!r}")
 
 
@@ -345,10 +334,8 @@ def _check_n(n, kind: str) -> int:
 
 
 def _require_passed(report: VerificationReport, message: str) -> None:
-    """Raise FunctionAxiomError for the first failed check of ``report``.
-
-    ``message`` is formatted with the check's ``name`` and ``witness``.
-    """
+    """Raise FunctionAxiomError for the first failed check of ``report``, its
+    ``name`` and ``witness`` formatted into ``message``."""
     for c in report.checks:
         if not c.passed:
             raise FunctionAxiomError(message.format(name=c.name, witness=c.witness), c.witness)
@@ -357,7 +344,7 @@ def _require_passed(report: VerificationReport, message: str) -> None:
 def _spot_check(system: ConnectivitySystem) -> None:
     # structured kinds are submodular by construction; this catches builder bugs
     _require_passed(
-        _verify_sampled(system, BUILD_SPOT_CHECK_PAIRS, seed=0),
+        verify_axioms(system, "sampled", samples=BUILD_SPOT_CHECK_PAIRS),
         f"{system.kind} construction violated {{name}} (witness masks {{witness}})",
     )
 
@@ -373,13 +360,11 @@ def explicit_system(values, *, name: str | None = None) -> ConnectivitySystem:
     for i, v in enumerate(values):
         check_int(v, f"explicit table entry {i}")
     system = ConnectivitySystem(n, "explicit", name=name, values=values)
-    if n <= EXHAUSTIVE_VERIFY_LIMIT:
-        report = _verify_exhaustive(system)
-    else:
-        # 4**n pairs are out of reach here; documented fallback
-        report = _verify_sampled(system, samples=65536, seed=0)
+    # beyond the exhaustive limit 4**n pairs are out of reach; documented fallback
+    mode = "exhaustive" if n <= EXHAUSTIVE_VERIFY_LIMIT else "sampled"
     _require_passed(
-        report, "explicit table rejected: {name} fails at witness masks {witness}"
+        verify_axioms(system, mode, samples=65536),
+        "explicit table rejected: {name} fails at witness masks {witness}",
     )
     return system
 

@@ -68,8 +68,11 @@ class SearchResult:
     families: tuple[SeparationFamily, ...]
     complete: bool
     nodes: int
-    status: str
     reports: tuple[StructureReport, ...]
+
+    @property
+    def status(self) -> str:
+        return STATUS_COMPLETE if self.complete else STATUS_BUDGET
 
     def __len__(self):
         return len(self.families)
@@ -318,8 +321,7 @@ def enumerate_all(
     complete = walk.run() or len(found) == limit
     found.sort(key=lambda pair: pair[0].member_masks)
     families, reports = zip(*found) if found else ((), ())
-    status = STATUS_COMPLETE if complete else STATUS_BUDGET
-    return SearchResult(families, complete, walk.nodes, status, reports)
+    return SearchResult(families, complete, walk.nodes, reports)
 
 
 def find_one(

@@ -45,9 +45,11 @@ class Separation:
 def make_separation(system: ConnectivitySystem, first: int) -> Separation:
     """Build (A, X \\ A) from the mask of side A, caching f(A).
 
-    ``system.evaluate`` rejects a mask with bits outside the ground set.
+    ``system.evaluate`` runs first, so a mask that is no int or has bits
+    outside the ground set is a ValueError.
     """
-    return Separation(system, first, system.full_mask ^ first, system.evaluate(first))
+    order = system.evaluate(first)
+    return Separation(system, first, system.full_mask ^ first, order)
 
 
 def _require_same_system(s1: Separation, s2: Separation) -> None:

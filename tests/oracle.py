@@ -51,23 +51,19 @@ def graph_cut_fn(vertex_count, edges):
     return split_count_fn(units)
 
 
-def verify_sampled_reference(f, n, samples, seed):
-    """Sampled verification, one seeded pair at a time.
+def _verify_reference(mode, f, n, pairs_checked, pairs):
+    """The four checks over `pairs` (a, b), one pair at a time.
 
-    `f` takes a subset mask.  Returns ("sampled", samples, checks) with one
+    `f` takes a subset mask.  Returns (mode, pairs_checked, checks) with one
     (name, passed, witness) per check, the witness being the first failing
-    draw: (a,) for symmetry and the empty-set floor, (a, b) for the pair
+    pair: (a,) for symmetry and the empty-set floor, (a, b) for the pair
     inequalities.
     """
     names = ("symmetry", "submodularity", "empty_set_minimum", "posimodularity")
-    rng = random.Random(seed)
-    size = 1 << n
     f_empty = f(0)
-    full = size - 1
+    full = (1 << n) - 1
     witnesses = {name: None for name in names}
-    for _ in range(samples):
-        a = rng.randrange(size)
-        b = rng.randrange(size)
+    for a, b in pairs:
         fa, fb = f(a), f(b)
         if witnesses["symmetry"] is None and fa != f(a ^ full):
             witnesses["symmetry"] = (a,)
@@ -80,7 +76,22 @@ def verify_sampled_reference(f, n, samples, seed):
     checks = tuple(
         (name, witnesses[name] is None, witnesses[name] or ()) for name in names
     )
-    return ("sampled", samples, checks)
+    return (mode, pairs_checked, checks)
+
+
+def verify_sampled_reference(f, n, samples, seed):
+    """Sampled verification: `samples` seeded draws of a then b."""
+    rng = random.Random(seed)
+    size = 1 << n
+    pairs = ((rng.randrange(size), rng.randrange(size)) for _ in range(samples))
+    return _verify_reference("sampled", f, n, samples, pairs)
+
+
+def verify_exhaustive_reference(f, n):
+    """Exhaustive verification: every pair, a-major (all b for a = 0 first)."""
+    size = 1 << n
+    pairs = ((a, b) for a in range(size) for b in range(size))
+    return _verify_reference("exhaustive", f, n, size * size, pairs)
 
 
 # ---------------------------------------------------------------------------

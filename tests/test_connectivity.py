@@ -445,6 +445,24 @@ class TestSampledVerifier:
         assert calls == []
 
 
+class TestExhaustiveVerifier:
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        values=st.lists(st.integers(min_value=0, max_value=3), min_size=64, max_size=64),
+        symmetric=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_explicit_tables_match_the_reference(self, n, values, symmetric):
+        full = (1 << n) - 1
+        values = values[: full + 1]
+        if symmetric:
+            values = [max(v, values[m ^ full]) for m, v in enumerate(values)]
+        raw = ConnectivitySystem(n, "explicit", values=tuple(values))
+        expected = oracle.verify_exhaustive_reference(values.__getitem__, n)
+        assert _report_entry(verify_axioms(raw)) == expected
+        assert raw.verified == all(passed for _, passed, _ in expected[2])
+
+
 def _report_entry(report):
     return (
         report.mode,

@@ -4,6 +4,7 @@ A float or a bool that compares equal to an integer would otherwise run and
 save a document that ``load_document`` rejects (11.0 is no theorem 11).
 """
 
+import numpy as np
 import pytest
 
 from tanglekit import (
@@ -17,6 +18,7 @@ from tanglekit import (
     explicit_system,
     hunt,
     hyperedge_system,
+    make_separation,
     random_hyperedge_system,
     verify_branchwidth_duality,
     verify_theorem,
@@ -33,6 +35,9 @@ def _family(c4):
 # entry point name -> call taking (c4, bad value)
 ENTRY_POINTS = {
     "efficient_context k": lambda c4, v: efficient_context(c4, v),
+    "evaluate mask": lambda c4, v: c4.evaluate(v),
+    "evaluate_many mask": lambda c4, v: c4.evaluate_many(np.array([v])),
+    "make_separation mask": lambda c4, v: make_separation(c4, v),
     "from_masks k": lambda c4, v: SeparationFamily.from_masks(c4, v, [0]),
     "from_masks mask": lambda c4, v: SeparationFamily.from_masks(c4, 1, [v]),
     "explicit_system entry": lambda c4, v: explicit_system([v, v]),

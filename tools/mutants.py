@@ -70,6 +70,14 @@ UNREADABLE_TESTS = ("tests/test_io.py::TestUnreadableValues",)
 HUNT_DOCUMENT_TESTS = ("tests/test_io.py::TestHuntDocuments",)
 HUNT_TESTS = ("tests/test_search.py::TestHunt",)
 RELABEL_TESTS = ("tests/test_relabelling.py",)
+# the one checker of both verification modes; the pin runs first, as a
+# hypothesis test that fails spends minutes shrinking its example
+VERIFY_TESTS = (
+    "tests/test_connectivity.py::TestVerificationPin",
+    "tests/test_connectivity.py::TestVerifier",
+    "tests/test_connectivity.py::TestExhaustiveVerifier",
+    "tests/test_connectivity.py::TestSampledVerifier",
+)
 
 
 @dataclass(frozen=True)
@@ -461,6 +469,42 @@ MUTANTS = (
         "_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()",
         "_LIVE: weakref.WeakValueDictionary = {}",
         SHARED_BUILD_TESTS,
+    ),
+    Mutant(
+        "evaluate-accepts-non-integers", CONNECTIVITY,
+        "        if type(mask) is not int:",
+        "        if False:",
+        INTEGER_TESTS,
+    ),
+    Mutant(
+        "evaluate-many-truncates-floats", CONNECTIVITY,
+        'if masks.dtype.kind not in "iu":',
+        "if False:",
+        INTEGER_TESTS,
+    ),
+    # exhaustive pairs b-major: the pair inequalities are symmetric in a and
+    # b, so only the order of a witness pair changes
+    Mutant(
+        "every-pair-b-major", CONNECTIVITY,
+        "        a = b[start:start + rows, None]\n"
+        "        yield a, b, (t[a], t, t[a ^ full], t.take(a & b), t.take(a | b),\n"
+        "                     t.take(a & ~b), t.take(b & ~a), t[0])\n",
+        "        a, col = b[None, start:start + rows], b[:, None]\n"
+        "        yield a, col, (t[a], t[col], t[a ^ full], t.take(a & col), t.take(a | col),\n"
+        "                       t.take(a & ~col), t.take(col & ~a), t[0])\n",
+        VERIFY_TESTS,
+    ),
+    Mutant(
+        "verify-keeps-the-last-witness", CONNECTIVITY,
+        "if witnesses[name] is None and bad.any():",
+        "if bad.any():",
+        VERIFY_TESTS,
+    ),
+    Mutant(
+        "failed-exhaustive-marks-verified", CONNECTIVITY,
+        "        if report.passed:\n            system.verified = True\n",
+        "        system.verified = True\n",
+        VERIFY_TESTS,
     ),
     Mutant(
         "from-masks-accepts-non-integers", SEPARATIONS,
