@@ -46,8 +46,9 @@ which cannot be read again, gets "cannot read".  Ingest is strict:
 unknown fields, duplicate keys, bad versions, wrong types, out-of-range
 elements and duplicate sides are rejected, and recomputable values (orders,
 the k bound's sign) verified, not believed.  A counterexample's system is built,
-once per distinct descriptor in a call, a failed check raising a
-``SchemaError``, and its sides and witness checked against that system's n.
+once per distinct descriptor in a call (and in a load checked once per
+distinct JSON text), a failed check raising a ``SchemaError``, and its sides
+and witness checked against that system's n.
 
 Every call builds its document in one context, which pauses the cyclic GC
 (it would rescan the document as it is allocated) and keeps one list per
@@ -93,7 +94,12 @@ class _Memo(dict):
     """The memo of one build: a side's tuple or mask -> the side's one list, a
     witness's tuple of side tuples -> its one list, a counterexample system's
     JSON text or object -> its descriptor's one dict, ("n", that text) -> its
-    built system's n, and ("text", a string) -> that string's one object."""
+    built system's n, and ("text", a string) -> that string's one object.
+    ``parsed`` is true in a load, whose values have JSON's types only."""
+
+    def __init__(self, parsed):
+        super().__init__()
+        self.parsed = parsed
 
     def __missing__(self, mask):
         elements = mask_elements(mask)
@@ -114,11 +120,11 @@ def _reject_duplicate_keys(pairs):
 
 
 @contextmanager
-def _building(where="document"):
+def _building(where="document", parsed=False):
     """Build a document no caller holds: a fresh memo, the cyclic GC paused
     (documents are trees and the toolkit starts no threads; a disabled GC stays so).
     Nesting past the recursion limit is a ``SchemaError`` naming ``where``."""
-    token = _MEMO.set(_Memo())
+    token = _MEMO.set(_Memo(parsed))
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -482,12 +488,22 @@ def _built(descriptor, where):
 def _counterexample_system(value, where):
     """A counterexample's system and its n, built once per distinct descriptor
     in a call; equal descriptors are one dict (the checks refuse 1.0 and true
-    for 1, so equal means identical)."""
-    out = _system(value, where, nested=True)
-    text, memo = json.dumps(out), _MEMO.get()
+    for 1, so equal means identical).  A load checks a descriptor once per JSON
+    text, which tells 1.0, true and 1 apart and keeps the key order; of a
+    caller's value the text would not tell a tuple from a list."""
+    memo, text = _MEMO.get(), None
+    if memo.parsed:
+        try:
+            text = json.dumps(value)
+        except RecursionError:  # nested past any descriptor: the check refuses it
+            pass
     if ("n", text) not in memo:
-        memo["n", text] = _built(out, where)
-    return memo.setdefault(text, out), memo["n", text]
+        out = _system(value, where, nested=True)
+        text = json.dumps(out)
+        if ("n", text) not in memo:
+            memo["n", text] = _built(out, where)
+        memo.setdefault(text, out)
+    return memo[text], memo["n", text]
 
 
 def _descriptor(system, where):
@@ -660,14 +676,16 @@ def to_document(obj) -> dict:
         return _copied(_built_document(obj))
 
 
-def _emitter():
+def _emitter(shared=frozenset()):
     """``emit(value, nl)``: the text ``json.dumps(value, indent=2,
     ensure_ascii=False)`` gives ``value`` nested at newline-and-indent ``nl``.
 
     Each list of exact ints is rendered once per indent, since sides repeat,
-    and kept in a memo whose keys hold nothing but exact ints.
+    and kept in a memo whose keys hold nothing but exact ints; so is each
+    dict whose id is in ``shared``, the counterexample descriptors a build
+    shares, which repeat too.
     """
-    memo = defaultdict(dict)  # indent -> {tuple of ints: its text}
+    memo = defaultdict(dict)  # indent -> {tuple of ints, or a shared dict's id: its text}
 
     def ints(key, nl):
         if key:
@@ -699,10 +717,11 @@ def _emitter():
         if kind is dict:
             if not value:
                 return "{}"
-            inner = nl + "  "
+            key = id(value)
+            if key in shared:  # a descriptor, whose keys are str
+                return memo[nl].get(key) or memo[nl].setdefault(key, members(value, nl))
             try:
-                items = [encode_basestring(k) + ": " + emit(v, inner) for k, v in value.items()]
-                return "{" + inner + ("," + inner).join(items) + nl + "}"
+                return members(value, nl)
             except TypeError:  # a key that is no str, which json.dumps converts
                 pass
         if kind is int:
@@ -711,6 +730,11 @@ def _emitter():
             return "null" if value is None else "true" if value else "false"
         # a tuple, a subclass, a float; other types raise as json.dumps does
         return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", nl)
+
+    def members(value, nl):
+        inner = nl + "  "
+        items = [encode_basestring(k) + ": " + emit(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
 
     return emit
 
@@ -722,7 +746,7 @@ def _write(doc, write) -> None:
     by item; any other value, such as one entry, is one string of the
     emitter, whose memo serves the whole call.
     """
-    emit = _emitter()
+    emit = _emitter({id(v) for v in _MEMO.get({}).values() if type(v) is dict})
 
     def walk(head, value, nl, document):  # writes ``head``, then ``value``
         inner = nl + "  "
@@ -776,7 +800,7 @@ def save(document, path) -> None:
 
 def load_document(path) -> dict:
     """Parse, validate and canonicalize any toolkit JSON document."""
-    with _building(path):
+    with _building(path, parsed=True):
         try:
             with open(path, encoding="utf-8") as file:
                 doc, done = _Reader(path, file).document()

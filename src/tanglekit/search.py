@@ -60,6 +60,17 @@ class SearchBudget:
     max_nodes: int | None = 2_000_000
     max_seconds: float | None = None
 
+    def __post_init__(self):
+        check_int(self.max_ground_set, "max_ground_set")
+        check_int(self.max_unordered, "max_unordered")
+        if self.max_nodes is not None:
+            check_int(self.max_nodes, "max_nodes")
+        seconds = self.max_seconds
+        if seconds is not None and (
+            isinstance(seconds, bool) or not isinstance(seconds, (int, float)) or not seconds >= 0
+        ):  # ``not >=`` refuses NaN too
+            raise ValueError(f"max_seconds must be a non-negative number or None, got {seconds!r}")
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -294,6 +305,16 @@ def enumerate_all(
     cap yields the families found so far, flagged incomplete.  ``limit``
     stops early but still reports complete when the cap was reached.
     """
+    return _enumerate(kind, system, k, budget, variant, prune, limit)
+
+
+def _enumerate(
+    kind, system, k, budget=None, variant="corrected", prune=True, limit=None, walks=None
+) -> SearchResult:
+    """``enumerate_all``; ``walks``, a dict or None, keeps each walk that ran to
+    its end under its key (axioms, n, the context's bits) as its leaves and
+    node count, and a walk kept there is replayed, not walked again: each of
+    its leaves is re-checked on this system."""
     kind = StructureKind(kind)
     if kind not in ORIENTATION_KINDS:
         raise ValueError(f"{kind.value} is not searchable by orientation")
@@ -308,8 +329,7 @@ def enumerate_all(
         )
     found: list[tuple[SeparationFamily, StructureReport]] = []
 
-    def leaf(masks):
-        family = SeparationFamily.from_masks(system, k, masks)
+    def leaf(family):
         report = check_structure(system, k, family, kind, variant)
         if report.passed:
             found.append((family, report))
@@ -317,11 +337,33 @@ def enumerate_all(
                 raise _Cut
 
     axioms = axiom_ids(kind, variant) if prune else ()
-    walk = _Walk(efficient_context(system, k), system.n, axioms, budget, leaf)
-    complete = walk.run() or len(found) == limit
+    context = efficient_context(system, k)
+    key = axioms, system.n, context.bits
+    kept = walks.get(key) if walks is not None else None
+    if kept is None:
+        leaves = []  # each leaf as its family's member-mask tuple
+
+        def walked(masks):
+            family = SeparationFamily.from_masks(system, k, masks)
+            leaves.append(family.member_masks)
+            leaf(family)
+
+        walk = _Walk(context, system.n, axioms, budget, walked)
+        ran, nodes = walk.run(), walk.nodes
+        if ran and walks is not None:
+            walks[key] = leaves, nodes
+    else:
+        leaves, nodes = kept
+        try:
+            for masks in leaves:
+                leaf(SeparationFamily(system, k, masks))
+            ran = True
+        except _Cut:
+            ran = False
+    complete = ran or len(found) == limit
     found.sort(key=lambda pair: pair[0].member_masks)
     families, reports = zip(*found) if found else ((), ())
-    return SearchResult(families, complete, walk.nodes, reports)
+    return SearchResult(families, complete, nodes, reports)
 
 
 def find_one(
@@ -371,6 +413,10 @@ class HuntCorpus:
     sizes: tuple[int, ...]
     base_seed: int
     kmax: int | None = None
+
+    def __post_init__(self):
+        for n in self.sizes:  # a hyperedge needs two elements
+            check_int(n, "ground-set size", 2)
 
     def systems(self) -> list[ConnectivitySystem]:
         return [
@@ -443,7 +489,11 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
     no systems is refused, since a hunt over nothing shows nothing.
 
     Identical corpus and budget give an identical verdict, in which equal
-    member-mask tuples and witnesses are one tuple each.
+    member-mask tuples and witnesses are one tuple each.  A search walks
+    once per key of axioms, n and separations of order <= k in a call:
+    a later (system, k) with the same key re-checks that walk's leaves on
+    its own system, and the node count and wall-clock caps apply to the
+    walk, so such a re-check does not count against them.
     """
     if check_int(problem, "problem") not in PROBLEMS:
         raise ValueError(f"problem must be {' or '.join(map(str, PROBLEMS))}")
@@ -456,6 +506,7 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
         raise ValueError("the corpus holds no systems")
     counterexamples = []
     shared = {}  # a tuple of masks -> its one tuple in this verdict
+    walks = {}  # the walks of this call, by key: see ``_enumerate``
 
     def found(fam, claim, axiom, witness):
         masks = shared.setdefault(fam.member_masks, fam.member_masks)
@@ -476,9 +527,7 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
         if kmax is not None:
             top = min(top, kmax)
         for k in range(top + 1):
-            wufs = enumerate_all(
-                StructureKind.WEAK_ULTRAFILTER, system, k, budget
-            )
+            wufs = _enumerate(StructureKind.WEAK_ULTRAFILTER, system, k, budget, walks=walks)
             if not wufs.complete:
                 cut = True
                 break
@@ -491,7 +540,7 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
                         found(fam, "weak_ultrafilter_triple_intersection",
                               AxiomId.F6, f6.witness)
                 continue
-            tangles = enumerate_all(StructureKind.TANGLE, system, k, budget)
+            tangles = _enumerate(StructureKind.TANGLE, system, k, budget, walks=walks)
             if not tangles.complete:
                 cut = True
                 break

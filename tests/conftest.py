@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import Phase, settings
 
 from tanglekit import builtin_system
+
+# ``tools/mutants.py`` selects this profile: a failing example kills a mutant
+# as soon as it is found, with no wait while it shrinks; other runs keep the
+# default profile
+settings.register_profile(
+    "no-shrink", phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+)
 
 
 @pytest.fixture(scope="session")

@@ -313,6 +313,13 @@ class TestHunt:
             "hunt", "--problem", "9", "--n", "9", "--systems", "1",
         ]).exit_code == 2
 
+    @pytest.mark.parametrize("size", ["1", "0", "-4"])
+    def test_a_size_below_two_names_the_size(self, runner, size):
+        result = runner.invoke(main, ["hunt", "--problem", "9", "--n", size])
+        assert result.exit_code == 2
+        assert f"ground-set size must be an integer >= 2, got {size}" in result.output
+        assert "arity" not in result.output and "Traceback" not in result.output
+
 
 @pytest.mark.parametrize("args", [
     ["hunt", "--problem", "9", "--n", "3", "--kmax", "-1"],

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import signal
+import sys
 import threading
 import weakref
 from collections import OrderedDict
@@ -417,6 +418,52 @@ class TestHuntDocuments:
         assert to_document(json.loads(path.read_text())) == loaded
         assert sorted(built) == sorted(set(texts))
 
+    @pytest.mark.parametrize("first", [
+        {"kind": "min_cardinality", "n": 3}, {"kind": "explicit", "n": 3, "values": MIN3_TABLE},
+    ])
+    def test_equal_descriptors_written_otherwise(self, tmp_path, min3, first):
+        """A load reuses the check of a descriptor only for the same JSON
+        text: keys in another order build the one dict, and 1.0 or true for
+        1 is refused as it is in a descriptor of its own."""
+        good = to_document(hunt(9, NamedCorpus((min3,))))
+        ce = {**good["counterexamples"][0], "system": first}
+        reordered = dict(reversed(first.items()))
+        doc = {**good, "counterexamples": [ce, {**ce, "system": reordered}, ce]}
+        loaded = load_document(write(tmp_path, doc))
+        systems = [c["system"] for c in loaded["counterexamples"]]
+        assert all(s is systems[0] for s in systems) and list(systems[0]) == list(first)
+        assert loaded == to_document(doc)
+        for field, value in [("n", 3.0), ("n", True), ("values", [0, 1.0, *MIN3_TABLE[2:]])]:
+            if field not in first:
+                continue
+            bad = {**ce, "system": {**first, field: value}}
+            where = r"n" if field == "n" else r"values\[1\]"
+            for i, counterexamples in ((1, [ce, bad, ce]), (0, [bad, ce])):
+                message = rf"^counterexamples\[{i}\]\.system\.{where} must be an integer$"
+                with pytest.raises(SchemaError, match=message):
+                    load_document(write(tmp_path, {**good, "counterexamples": counterexamples}))
+        if "values" in first:  # a caller's tuple, whose JSON text is the list's
+            tupled = {**ce, "system": {**first, "values": tuple(first["values"])}}
+            with pytest.raises(SchemaError, match=(
+                r"^counterexamples\[1\]\.system\.values must be an array$"
+            )):
+                to_document({**good, "counterexamples": [ce, tupled]})
+
+    def test_a_load_checks_each_distinct_descriptor_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "verdict.json"
+        save(hunt(9, HuntCorpus(sizes=(4, 4, 5, 5), base_seed=3)), path)
+        checked = []
+        system = io._system
+
+        def counted(doc, where="system", nested=False):
+            checked.append(json.dumps(doc))
+            return system(doc, where, nested)
+
+        monkeypatch.setattr(io, "_system", counted)
+        loaded = load_document(path)
+        texts = [json.dumps(ce["system"]) for ce in loaded["counterexamples"]]
+        assert sorted(checked) == sorted(set(texts)) and len(texts) > len(checked) > 1
+
     def test_a_failed_explicit_table_is_a_schema_error(self, tmp_path, min3):
         good = to_document(hunt(9, NamedCorpus((min3,))))
         ce = good["counterexamples"][0]
@@ -710,6 +757,14 @@ class _IntKeyCorpus(NamedCorpus):
         return {3: "min3", "sizes": {3: "min3", None: [1.5, {True: []}]}}
 
 
+class _RepeatCorpus(NamedCorpus):
+    """A corpus whose description holds one dict twice."""
+
+    def describe(self):
+        repeated = {"repeat": [1]}
+        return {"a": repeated, "b": repeated}
+
+
 def _lists(value):
     """Every list in a JSON tree, by identity (the tree keeps them alive)."""
     found = {}
@@ -784,6 +839,30 @@ class TestStreamedSave:
         assert load_document(path)["corpus"] == {
             "3": "min3", "sizes": {"3": "min3", "null": [1.5, {"true": []}]},
         }
+
+    def test_each_shared_descriptor_is_rendered_once(self, tmp_path, monkeypatch, min3):
+        """Per write, each descriptor a build shares is rendered once, and any
+        other dict wherever it occurs: the emitter keeps no other dict's text."""
+        encode = io.encode_basestring
+        keys = []
+
+        def counted(text):
+            keys.append(text)
+            return encode(text)
+
+        verdict = hunt(9, HuntCorpus(sizes=(4, 4, 5, 5), base_seed=3))
+        distinct = len({id(ce.system) for ce in verdict.counterexamples})
+        path, again = tmp_path / "verdict.json", tmp_path / "again.json"
+        save(verdict, path)
+        monkeypatch.setattr(io, "encode_basestring", counted)
+        for write in (lambda: save(verdict, again), lambda: io.dumps(verdict),
+                      lambda: save(load_document(path), again)):
+            keys.clear()
+            write()
+            assert keys.count("kind") == distinct < len(verdict.counterexamples)
+            assert again.read_bytes() == path.read_bytes()
+        keys.clear()
+        assert io.dumps(hunt(9, _RepeatCorpus((min3,)))).count('"repeat"') == keys.count("repeat") == 2
 
     def test_no_write_holds_two_counterexamples(self, tmp_path, monkeypatch, min3, c4):
         verdict = hunt(9, NamedCorpus((min3, c4)))
@@ -1019,6 +1098,31 @@ class TestUnreadableValues:
         for call in (to_document, io.dumps):
             with pytest.raises(SchemaError, match="^document: nested too deeply$"):
                 call(_deep_tree())
+
+    def test_a_descriptor_nested_as_deep_as_a_claim_is_refused_alike(self, tmp_path, min3):
+        """A load takes a descriptor's JSON text before its check; nesting the
+        scanner decodes but that text cannot hold is the check's to refuse, so
+        the depth refused as too deep is the scanner's, whatever field holds it."""
+        good = to_document(hunt(9, NamedCorpus((min3,))))
+        ce = good["counterexamples"][0]
+        head = json.dumps({**good, "counterexamples": []})
+
+        def too_deep(field, depth):
+            # the claim's array nests one level deeper, level with the values
+            value = ('{"kind": "explicit", "n": 1, "values": %s}' % _nested(depth)
+                     if field == "system" else _nested(depth + 1))
+            entry = json.dumps({**ce, field: "VALUE"}).replace('"VALUE"', value)
+            path = write(tmp_path, head.replace('"counterexamples": []',
+                                                f'"counterexamples": [{entry}]'))
+            with pytest.raises(SchemaError) as refused:
+                load_document(path)
+            return str(refused.value).endswith("nested too deeply")
+
+        limit = sys.getrecursionlimit()
+        depths = range(limit - 300, limit)
+        refused = [too_deep("system", d) for d in depths]
+        assert refused == [too_deep("claim", d) for d in depths]
+        assert not refused[0] and refused[-1]
 
     def test_deep_nesting_exits_two(self, tmp_path):
         for path in self.deep_files(tmp_path):

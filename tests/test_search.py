@@ -1,8 +1,11 @@
 """Orientation search against full-sweep oracles, plus the hunters."""
 
 import hashlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conftest import mask_of, masks_of
@@ -14,6 +17,7 @@ from tanglekit import (
     STATUS_BUDGET,
     STATUS_COMPLETE,
     AxiomId,
+    ConnectivitySystem,
     HuntCorpus,
     NamedCorpus,
     SearchBudget,
@@ -25,13 +29,16 @@ from tanglekit import (
     check_structure,
     dual_family,
     enumerate_all,
+    explicit_system,
     find_one,
     hunt,
     io,
     min_cardinality_system,
     random_hyperedge_system,
+    search,
     standard_corpus,
 )
+from tanglekit.separations import efficient_context
 
 PROFILE_KINDS = {
     StructureKind.PROFILE,
@@ -293,6 +300,25 @@ class TestEnumerateAll:
                 "tangle", min_cardinality_system(5), 2, SearchBudget(max_unordered=8)
             )
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_ground_set", "8"), ("max_ground_set", -1), ("max_ground_set", 8.0),
+        ("max_unordered", True), ("max_unordered", None),
+        ("max_nodes", 1.5), ("max_nodes", -1), ("max_nodes", "10"),
+        ("max_seconds", "1"), ("max_seconds", -0.5), ("max_seconds", float("nan")),
+        ("max_seconds", False),
+    ])
+    def test_a_budget_is_checked_when_it_is_made(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a non-negative "):
+            SearchBudget(**{field: value})
+
+    def test_budgets_the_tests_use_are_valid(self):
+        for budget in (
+            SearchBudget(max_nodes=1), SearchBudget(max_seconds=0.0),
+            SearchBudget(max_unordered=8), SearchBudget(max_nodes=None, max_seconds=None),
+            SearchBudget(max_seconds=2),
+        ):
+            assert budget == SearchBudget(**vars(budget))
+
     def test_rejected_inputs(self, min3):
         with pytest.raises(ValueError):
             enumerate_all("filter_base", min3, 0)
@@ -396,6 +422,14 @@ class TestCorpora:
             list(s.table()) for s in again
         ]
         assert corpus.describe() == {"sizes": [3, 4], "base_seed": 7, "kmax": None}
+
+    @pytest.mark.parametrize("sizes", [(1,), (3, 1), (3, 0), (3, -2), (3.0,), (True,)])
+    def test_a_size_below_two_is_refused(self, sizes):
+        # a hyperedge needs two elements; the message names the size, not
+        # the arity the generator derives from it
+        bad = sizes[-1]
+        with pytest.raises(ValueError, match=rf"^ground-set size must be an integer >= 2, got {bad!r}$"):
+            HuntCorpus(sizes=sizes, base_seed=0)
 
     def test_named_corpus(self, min3, p3):
         corpus = NamedCorpus((min3, p3), kmax=1)
@@ -513,6 +547,17 @@ class TestHunt:
         text = io.dumps(verdict)
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHARING_PINS[problem]
 
+    def test_equal_families_of_two_walks_share_a_tuple(self):
+        # a walk's replays share its tuples, so only two walks can give equal
+        # families two tuples: here the tangle {(emptyset, X)} at n = 1 and
+        # n = 2, whose duals are no weak ultrafilters, as only an f that is
+        # not symmetric (built unverified) allows
+        pair = (ConnectivitySystem(1, "explicit", values=(0, 1), name="a"),
+                ConnectivitySystem(2, "explicit", values=(0, 1, 2, 1), name="b"))
+        ces = hunt(10, NamedCorpus(pair, kmax=0)).counterexamples
+        assert [(c.system.n, c.family.member_masks) for c in ces] == [(1, (0,)), (2, (0,))]
+        assert ces[0].family.member_masks is ces[1].family.member_masks
+
     def test_two_hunts_share_no_tuple(self):
         first, second = (hunt(9, self.SHARING_CORPUS) for _ in range(2))
 
@@ -529,3 +574,118 @@ class TestHunt:
     def test_verdict_records_the_corpus(self, min3):
         corpus = NamedCorpus((min3,), kmax=1)
         assert hunt(9, corpus).corpus == corpus.describe()
+
+
+_ENUMERATE = search._enumerate
+
+
+def _without_reuse(*args, walks=None, **kwargs):
+    """``search._enumerate`` with no walk kept or replayed."""
+    return _ENUMERATE(*args, **kwargs)
+
+
+def _reuse_changes_nothing(systems):
+    """Each (system, k) of ``systems`` searched for both kinds a hunt searches,
+    replaying walks as a hunt does, gives what a search of its own gives;
+    the number of walks replayed."""
+    walks, replayed = {}, 0
+    for system in systems:
+        for k in range(system.max_order() + 1):
+            for kind in (StructureKind.WEAK_ULTRAFILTER, StructureKind.TANGLE):
+                kept = len(walks)
+                reused = search._enumerate(kind, system, k, walks=walks)
+                replayed += len(walks) == kept
+                alone = enumerate_all(kind, system, k)
+                assert reused == alone, (system.name, k, kind)
+                assert reused.nodes == alone.nodes and reused.reports == alone.reports
+    return replayed
+
+
+class TestWalkReuse:
+    """A hunt walks once per key of axioms, n and efficient bits, and re-checks
+    every replayed leaf on its own system."""
+
+    def test_corpus_searches_are_unchanged(self):
+        # 133 points, 68 distinct keys per kind; criterion 9 pins the bytes
+        # of both corpus hunts
+        assert _reuse_changes_nothing(standard_corpus()) == 2 * (133 - 68)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 5), min_size=1, max_size=4).map(tuple),
+        base_seed=st.integers(0, 10_000),
+        kmax=st.none() | st.integers(0, 2),
+    )
+    def test_hunt_corpora_give_what_they_give_without_reuse(self, sizes, base_seed, kmax):
+        corpus = HuntCorpus(sizes=sizes, base_seed=base_seed, kmax=kmax)
+        _reuse_changes_nothing(corpus.systems())
+        for problem in (9, 10):
+            reused = io.dumps(hunt(problem, corpus))
+            with mock.patch.object(search, "_enumerate", _without_reuse):
+                assert io.dumps(hunt(problem, corpus)) == reused
+
+    def test_every_leaf_is_checked_on_its_own_system(self, monkeypatch):
+        calls, walks = [], []
+
+        def counted(system, k, family, kind, variant="corrected"):
+            assert family.system is system
+            calls.append(kind)
+            return check_structure(system, k, family, kind, variant)
+
+        class Counted(search._Walk):
+            def __init__(self, *args):
+                walks.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(search, "check_structure", counted)
+        monkeypatch.setattr(search, "_Walk", Counted)
+        verdict = hunt(9, NamedCorpus(tuple(standard_corpus())))
+        assert verdict.structures_examined == len(calls) == 23_393
+        assert set(calls) == {StructureKind.WEAK_ULTRAFILTER}
+        assert len(walks) == 68  # of 133 points
+
+    def test_equal_bits_at_two_sizes(self):
+        # at k below f(emptyset) no separation has order <= k, so the bits
+        # are 0 at every n, and the walk has one leaf at every n
+        flat = [explicit_system([1] * (1 << n), name=f"flat{n}") for n in (1, 2)]
+        # only f that is not symmetric, built unverified, gives two sizes one
+        # nonzero bitset: f({0}) = 0 at both sizes, every other nonempty side
+        # costs 5, so bits = 0b11 at n = 1 and at n = 2, and the walks differ
+        lopsided = [
+            ConnectivitySystem(1, "explicit", values=(0, 0), name="lopsided1"),
+            ConnectivitySystem(2, "explicit", values=(0, 0, 5, 5), name="lopsided2"),
+        ]
+        for pair in (flat, lopsided):
+            a, b = pair
+            assert efficient_context(a, 0).bits == efficient_context(b, 0).bits
+            _reuse_changes_nothing(pair)
+            _reuse_changes_nothing(pair[::-1])
+            for problem in (9, 10):
+                for corpus in (NamedCorpus(pair, kmax=0), NamedCorpus(pair[::-1], kmax=0)):
+                    reused = io.dumps(hunt(problem, corpus))
+                    with mock.patch.object(search, "_enumerate", _without_reuse):
+                        assert io.dumps(hunt(problem, corpus)) == reused
+        assert [f.member_masks for f in enumerate_all("tangle", lopsided[0], 0)] != [
+            f.member_masks for f in enumerate_all("tangle", lopsided[1], 0)
+        ]
+
+    @pytest.mark.parametrize("cut", [
+        {"budget": SearchBudget(max_nodes=1)}, {"limit": 1}, {"limit": 2},
+    ])
+    def test_a_cut_walk_is_not_kept(self, c4, cut):
+        walks = {}
+        first = search._enumerate("weak_ultrafilter", c4, 2, walks=walks, **cut)
+        assert len(first) < 4 and walks == {}
+        again = search._enumerate("weak_ultrafilter", c4, 2, None, walks=walks)
+        assert again == enumerate_all("weak_ultrafilter", c4, 2) and len(again) == 4
+        assert len(walks) == 1
+        replayed = search._enumerate("weak_ultrafilter", c4, 2, None, walks=walks)
+        assert replayed == again
+
+    def test_a_replay_stops_at_the_limit(self, c4):
+        walks = {}
+        search._enumerate("weak_ultrafilter", c4, 2, None, walks=walks)
+        capped = search._enumerate("weak_ultrafilter", c4, 2, None, limit=2, walks=walks)
+        alone = enumerate_all("weak_ultrafilter", c4, 2, limit=2)
+        assert (capped.families, capped.reports) == (alone.families, alone.reports)
+        assert capped.complete and len(capped) == 2

@@ -14,7 +14,9 @@ The working tree is never written to.
 The exit code is 0 when every mutant is killed, 1 when one survives, and 2
 when an edit no longer applies, a selection fails on the unedited copy or
 pytest ends a run with an error other than a failing test.
-Hypothesis runs with a fixed seed, so results repeat.
+Hypothesis runs with a fixed seed, so results repeat, and with the
+``no-shrink`` profile of ``tests/conftest.py``, so a failing example kills
+its mutant without first being shrunk.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ TO_DOCUMENT_TESTS = ("tests/test_io.py::TestToDocument",)
 UNREADABLE_TESTS = ("tests/test_io.py::TestUnreadableValues",)
 HUNT_DOCUMENT_TESTS = ("tests/test_io.py::TestHuntDocuments",)
 HUNT_TESTS = ("tests/test_search.py::TestHunt",)
+WALK_TESTS = ("tests/test_search.py::TestWalkReuse",)
+RENDER_TESTS = ("tests/test_io.py::TestStreamedSave::test_each_shared_descriptor_is_rendered_once",)
 RELABEL_TESTS = ("tests/test_relabelling.py",)
 # the one checker of both verification modes; the pin runs first, as a
 # hypothesis test that fails spends minutes shrinking its example
@@ -287,8 +291,8 @@ MUTANTS = (
     ),
     Mutant(
         "load-memo-shared-across-loads", IO,
-        "token = _MEMO.set(_Memo())",
-        'token = _MEMO.set(_building.__dict__.setdefault("memo", _Memo()))',
+        "token = _MEMO.set(_Memo(parsed))",
+        'token = _MEMO.set(_building.__dict__.setdefault("memo", _Memo(parsed)))',
         NO_ALIASING_TESTS,
     ),
     Mutant(
@@ -679,8 +683,8 @@ MUTANTS = (
     ),
     Mutant(
         "descriptor-built-per-counterexample", IO,
-        '    if ("n", text) not in memo:\n        memo["n", text] = _built(out, where)\n',
-        '    memo["n", text] = _built(out, where)\n',
+        '        if ("n", text) not in memo:\n            memo["n", text] = _built(out, where)\n',
+        '        memo["n", text] = _built(out, where)\n',
         HUNT_DOCUMENT_TESTS,
     ),
     Mutant(
@@ -719,6 +723,88 @@ MUTANTS = (
         "default=-1) > n:",
         HUNT_DOCUMENT_TESTS,
     ),
+    # one walk per key in a hunt: the key, what is kept and the re-check
+    Mutant(
+        "walk-key-without-n", SEARCH,
+        "    key = axioms, system.n, context.bits\n",
+        "    key = axioms, context.bits\n",
+        ("tests/test_search.py::TestWalkReuse::test_equal_bits_at_two_sizes",),
+    ),
+    Mutant(
+        "walk-key-without-axioms", SEARCH,
+        "    key = axioms, system.n, context.bits\n",
+        "    key = system.n, context.bits\n",
+        WALK_TESTS,
+    ),
+    # equivalent within ``hunt``, which passes no limit and stops at the first
+    # cut walk; the tests of ``_enumerate`` itself kill it
+    Mutant(
+        "cut-walk-kept", SEARCH,
+        "        if ran and walks is not None:\n",
+        "        if walks is not None:\n",
+        WALK_TESTS,
+    ),
+    Mutant(
+        "replay-skips-the-leaf-check", SEARCH,
+        "                leaf(SeparationFamily(system, k, masks))\n",
+        "                found.append((SeparationFamily(system, k, masks), None))\n",
+        WALK_TESTS,
+    ),
+    Mutant(
+        "walks-kept-across-hunts", SEARCH,
+        "    walks = {}  # the walks of this call",
+        '    walks = hunt.__dict__.setdefault("walks", {})  # the walks of this call',
+        HUNT_TESTS,
+    ),
+    Mutant(
+        "search-budget-unchecked", SEARCH,
+        '            check_int(self.max_nodes, "max_nodes")\n',
+        "            pass\n",
+        ("tests/test_search.py::TestEnumerateAll::test_a_budget_is_checked_when_it_is_made",),
+    ),
+    Mutant(
+        "hunt-corpus-admits-size-one", SEARCH,
+        'check_int(n, "ground-set size", 2)',
+        'check_int(n, "ground-set size", 1)',
+        ("tests/test_search.py::TestCorpora", "tests/test_cli.py::TestHunt"),
+    ),
+    # one check and one rendering per counterexample descriptor
+    Mutant(
+        "raw-lookup-reads-1.0-as-1", IO,
+        "            text = json.dumps(value)\n",
+        '            text = json.dumps(value, sort_keys=True).replace(".0", "")\n',
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "raw-lookup-outside-loads", IO,
+        "    if memo.parsed:\n",
+        "    if True:\n",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "load-checks-every-descriptor", IO,
+        "    if memo.parsed:\n",
+        "    if False:\n",
+        HUNT_DOCUMENT_TESTS,
+    ),
+    Mutant(
+        "raw-text-nesting-not-caught", IO,
+        "        except RecursionError:  # nested past any descriptor",
+        "        except ValueError:  # nested past any descriptor",
+        UNREADABLE_TESTS,
+    ),
+    Mutant(
+        "emitter-memo-on-every-dict", IO,
+        "            if key in shared:  # a descriptor, whose keys are str\n",
+        "            if key in shared or all(type(k) is str for k in value):\n",
+        RENDER_TESTS,
+    ),
+    Mutant(
+        "descriptor-rendered-per-counterexample", IO,
+        "            if key in shared:  # a descriptor, whose keys are str\n",
+        "            if False:\n",
+        RENDER_TESTS,
+    ),
 )
 
 
@@ -732,7 +818,7 @@ def _pytest(workdir: Path, tests) -> tuple[int, float]:
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [
         sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-        "--hypothesis-seed=0", *tests,
+        "--hypothesis-seed=0", "--hypothesis-profile=no-shrink", *tests,
     ]
     start = time.perf_counter()
     done = subprocess.run(command, cwd=workdir, env=env, capture_output=True)
