@@ -5,10 +5,10 @@ family picks exactly one side of each unordered separation of order <= k.
 The search therefore walks assignments of one orientation per unordered
 separation, pruning with per-kind rules that are sound in one direction
 only: a pruned branch provably contains no passing family, while every
-surviving leaf is re-verified by the independent axiom checkers before it
-is emitted.  ``prune=False`` runs the same walk with no rule on, which
-sweeps all 2^m assignments and must produce the same result set; tests
-rely on that equivalence.
+leaf the walk yields is re-verified by the independent axiom checkers
+before it is emitted.  ``prune=False`` runs the same walk with no rule on,
+which sweeps all 2^m assignments and must produce the same result set;
+tests rely on that equivalence.
 
 Filter bases are not searched (they need not orient anything).
 
@@ -208,13 +208,16 @@ class _Rules:
 
 class _Walk:
     """Every orientation of the separations in ``context`` that the rules of
-    ``axioms`` leave, each handed to ``leaf`` as its masks, ascending.
+    ``axioms`` leave; iterating the walk yields each as its masks, a sorted
+    tuple, and a node or time cap raises ``_Cut`` out of the iteration.
 
     The walk reads f only through the context, so its leaves and its node
     count are a function of n, the axioms and the separations of order <= k.
+    A walk iterated to its end keeps its leaves, and iterating it again
+    replays them.
     """
 
-    def __init__(self, context: EfficientContext, n: int, axioms, budget: SearchBudget, leaf):
+    def __init__(self, context: EfficientContext, n: int, axioms, budget: SearchBudget):
         self.rules = _Rules(context, n, axioms)
         full = self.rules.full
         self.slots = [m for m in context.masks if m <= full ^ m]
@@ -224,15 +227,23 @@ class _Walk:
                 f"max_unordered={budget.max_unordered}"
             )
         self.budget = budget
-        self.leaf = leaf
         # canonical mask -> chosen orientation; the values are the family
         self.assignment: dict[int, int] = {}
         self.nodes = 0
-        self.deadline = (
-            time.monotonic() + budget.max_seconds
-            if budget.max_seconds is not None
-            else None
-        )
+        seconds = budget.max_seconds
+        self.deadline = None if seconds is None else time.monotonic() + seconds
+        self.leaves: list[tuple[int, ...]] | None = None  # once the walk has ended
+
+    def __iter__(self):
+        if self.leaves is not None:
+            yield from self.leaves
+            return
+        leaves = []
+        if all(self._assign(mask, []) for mask in self.rules.forced()):
+            for masks in self._descend(0):
+                leaves.append(masks)
+                yield masks
+        self.leaves = leaves
 
     def _tick(self):
         self.nodes += 1
@@ -268,24 +279,15 @@ class _Walk:
         while idx < len(self.slots) and self.slots[idx] in self.assignment:
             idx += 1
         if idx == len(self.slots):
-            self.leaf(sorted(self.assignment.values()))
+            yield tuple(sorted(self.assignment.values()))
             return
         canon = self.slots[idx]
         for mask in (canon, self.rules.full ^ canon):
             trail = []
             if self._assign(mask, trail):
-                self._descend(idx + 1)
+                yield from self._descend(idx + 1)
             for slot in trail:
                 del self.assignment[slot]
-
-    def run(self) -> bool:
-        """Walk; False when a cap, or ``leaf`` raising ``_Cut``, stopped it."""
-        try:
-            if all(self._assign(mask, []) for mask in self.rules.forced()):
-                self._descend(0)
-        except _Cut:
-            return False
-        return True
 
 
 def enumerate_all(
@@ -312,9 +314,9 @@ def _enumerate(
     kind, system, k, budget=None, variant="corrected", prune=True, limit=None, walks=None
 ) -> SearchResult:
     """``enumerate_all``; ``walks``, a dict or None, keeps each walk that ran to
-    its end under its key (axioms, n, the context's bits) as its leaves and
-    node count, and a walk kept there is replayed, not walked again: each of
-    its leaves is re-checked on this system."""
+    its end under its key (axioms, n, the context's bits), and a walk kept
+    there is replayed, not walked again.  Every leaf, walked or replayed, is
+    re-checked on this system."""
     kind = StructureKind(kind)
     if kind not in ORIENTATION_KINDS:
         raise ValueError(f"{kind.value} is not searchable by orientation")
@@ -322,48 +324,38 @@ def _enumerate(
     if limit is not None:
         check_int(limit, "limit", 1)
     budget = budget or SearchBudget()
-    if system.n > budget.max_ground_set:  # before the context builds the value table
+    _check_ground_set(system, budget)
+    axioms = axiom_ids(kind, variant) if prune else ()
+    context = efficient_context(system, k)
+    key = axioms, system.n, context.bits
+    walks = {} if walks is None else walks
+    walk = walks.get(key) or _Walk(context, system.n, axioms, budget)
+    found: list[tuple[SeparationFamily, StructureReport]] = []
+    complete = True
+    try:
+        for masks in walk:  # sorted, distinct and in range, as the walk makes them
+            family = SeparationFamily(system, k, masks)
+            report = check_structure(system, k, family, kind, variant)
+            if report.passed:
+                found.append((family, report))
+                if len(found) == limit:
+                    break
+    except _Cut:
+        complete = False
+    if walk.leaves is not None:
+        walks[key] = walk
+    found.sort(key=lambda pair: pair[0].member_masks)
+    families, reports = zip(*found) if found else ((), ())
+    return SearchResult(families, complete, walk.nodes, reports)
+
+
+def _check_ground_set(system, budget):
+    """Refuse a system too large for ``budget`` before its value table is built."""
+    if system.n > budget.max_ground_set:
         raise SearchBudgetError(
             f"ground set of {system.n} exceeds budget "
             f"max_ground_set={budget.max_ground_set}"
         )
-    found: list[tuple[SeparationFamily, StructureReport]] = []
-
-    def leaf(family):
-        report = check_structure(system, k, family, kind, variant)
-        if report.passed:
-            found.append((family, report))
-            if len(found) == limit:
-                raise _Cut
-
-    axioms = axiom_ids(kind, variant) if prune else ()
-    context = efficient_context(system, k)
-    key = axioms, system.n, context.bits
-    kept = walks.get(key) if walks is not None else None
-    if kept is None:
-        leaves = []  # each leaf as its family's member-mask tuple
-
-        def walked(masks):
-            family = SeparationFamily.from_masks(system, k, masks)
-            leaves.append(family.member_masks)
-            leaf(family)
-
-        walk = _Walk(context, system.n, axioms, budget, walked)
-        ran, nodes = walk.run(), walk.nodes
-        if ran and walks is not None:
-            walks[key] = leaves, nodes
-    else:
-        leaves, nodes = kept
-        try:
-            for masks in leaves:
-                leaf(SeparationFamily(system, k, masks))
-            ran = True
-        except _Cut:
-            ran = False
-    complete = ran or len(found) == limit
-    found.sort(key=lambda pair: pair[0].member_masks)
-    families, reports = zip(*found) if found else ((), ())
-    return SearchResult(families, complete, nodes, reports)
 
 
 def find_one(
@@ -491,9 +483,11 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
     Identical corpus and budget give an identical verdict, in which equal
     member-mask tuples and witnesses are one tuple each.  A search walks
     once per key of axioms, n and separations of order <= k in a call:
-    a later (system, k) with the same key re-checks that walk's leaves on
-    its own system, and the node count and wall-clock caps apply to the
-    walk, so such a re-check does not count against them.
+    a later (system, k) with the same key re-checks the finished walk's
+    leaves on its own system, and the node count and wall-clock caps apply
+    to the walk, so such a re-check does not count against them.  The first
+    search a cap stops ends the sweep; a system larger than the budget's
+    ground set is refused before its value table is built.
     """
     if check_int(problem, "problem") not in PROBLEMS:
         raise ValueError(f"problem must be {' or '.join(map(str, PROBLEMS))}")
@@ -507,6 +501,7 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
     counterexamples = []
     shared = {}  # a tuple of masks -> its one tuple in this verdict
     walks = {}  # the walks of this call, by key: see ``_enumerate``
+    systems_examined = structures_examined = 0
 
     def found(fam, claim, axiom, witness):
         masks = shared.setdefault(fam.member_masks, fam.member_masks)
@@ -515,54 +510,47 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
             shared.setdefault(witness, witness),
         ))
 
-    systems_examined = 0
-    structures_examined = 0
-    cut = False
+    def searched(kind):
+        """Every family of ``kind`` at (system, k); ``_Cut`` if a cap stops it."""
+        nonlocal structures_examined
+        result = _enumerate(kind, system, k, budget, walks=walks)
+        if not result.complete:
+            raise _Cut
+        structures_examined += len(result)
+        return result
 
-    for system in systems:
-        if cut:
-            break
-        systems_examined += 1
-        top = system.max_order()
-        if kmax is not None:
-            top = min(top, kmax)
-        for k in range(top + 1):
-            wufs = _enumerate(StructureKind.WEAK_ULTRAFILTER, system, k, budget, walks=walks)
-            if not wufs.complete:
-                cut = True
-                break
-            structures_examined += len(wufs)
-            if problem == 9:
-                # the leaf re-check already decided F6, its diagnostic entry
-                for fam, report in zip(wufs.families, wufs.reports):
-                    f6 = report.result(AxiomId.F6)
-                    if not f6.passed:
-                        found(fam, "weak_ultrafilter_triple_intersection",
-                              AxiomId.F6, f6.witness)
-                continue
-            tangles = _enumerate(StructureKind.TANGLE, system, k, budget, walks=walks)
-            if not tangles.complete:
-                cut = True
-                break
-            structures_examined += len(tangles)
-            for side, other, dual_kind, claim in (
-                (wufs, tangles, StructureKind.TANGLE,
-                 "weak_ultrafilter_dual_not_tangle"),
-                (tangles, wufs, StructureKind.WEAK_ULTRAFILTER,
-                 "tangle_dual_not_weak_ultrafilter"),
-            ):
-                for fam in unmatched_duals(side, other):
-                    dual = SeparationFamily.from_masks(system, k, fam.dual_masks())
-                    report = check_structure(system, k, dual, dual_kind)
-                    fail = report.failures()[0]
-                    found(fam, claim, fail.axiom, fail.witness)
-
-    if cut:
+    try:
+        for system in systems:
+            systems_examined += 1
+            _check_ground_set(system, budget)  # before max_order() builds the table
+            top = system.max_order()
+            if kmax is not None:
+                top = min(top, kmax)
+            for k in range(top + 1):
+                wufs = searched(StructureKind.WEAK_ULTRAFILTER)
+                if problem == 9:
+                    # the leaf re-check already decided F6, its diagnostic entry
+                    for fam, report in zip(wufs.families, wufs.reports):
+                        f6 = report.result(AxiomId.F6)
+                        if not f6.passed:
+                            found(fam, "weak_ultrafilter_triple_intersection",
+                                  AxiomId.F6, f6.witness)
+                    continue
+                tangles = searched(StructureKind.TANGLE)
+                for side, other, dual_kind, claim in (
+                    (wufs, tangles, StructureKind.TANGLE,
+                     "weak_ultrafilter_dual_not_tangle"),
+                    (tangles, wufs, StructureKind.WEAK_ULTRAFILTER,
+                     "tangle_dual_not_weak_ultrafilter"),
+                ):
+                    for fam in unmatched_duals(side, other):
+                        dual = SeparationFamily(system, k, fam.dual_masks())
+                        report = check_structure(system, k, dual, dual_kind)
+                        fail = report.failures()[0]
+                        found(fam, claim, fail.axiom, fail.witness)
+        status = HUNT_FOUND if counterexamples else HUNT_NONE_FOUND
+    except _Cut:
         status = HUNT_BUDGET
-    elif counterexamples:
-        status = HUNT_FOUND
-    else:
-        status = HUNT_NONE_FOUND
     return HuntVerdict(
         problem,
         corpus.describe(),

@@ -313,6 +313,14 @@ class TestHunt:
             "hunt", "--problem", "9", "--n", "9", "--systems", "1",
         ]).exit_code == 2
 
+    def test_an_oversized_system_exits_two_before_its_table(self, runner, monkeypatch):
+        # n = 24 is the largest table a system can build, and hunt builds none
+        built = []
+        monkeypatch.setattr(tanglekit.ConnectivitySystem, "table", lambda s: built.append(s.n))
+        result = runner.invoke(main, ["hunt", "--problem", "9", "--n", "24", "--systems", "1"])
+        assert result.exit_code == 2 and built == []
+        assert "ground set of 24 exceeds budget max_ground_set=8" in result.output
+
     @pytest.mark.parametrize("size", ["1", "0", "-4"])
     def test_a_size_below_two_names_the_size(self, runner, size):
         result = runner.invoke(main, ["hunt", "--problem", "9", "--n", size])

@@ -164,21 +164,17 @@ class TestEnumerateAll:
     def test_leaves_record_each_orientation_under_its_slot(self, monkeypatch, c4, k4):
         """Forced, closure and branch orientations all land on the slot of
         their separation, so no separation is recorded twice or branched on
-        after it is forced."""
-        from tanglekit import search
-
+        after it is forced.  Each leaf is a sorted tuple of distinct masks in
+        range, which lets ``_enumerate`` build its family unchecked."""
         leaves = []
 
         class Recorded(search._Walk):
-            def __init__(self, *args):
-                super().__init__(*args)
-                leaf = self.leaf
-
-                def recorded(masks):
+            def __iter__(self):
+                for masks in super().__iter__():
                     leaves.append(set(self.assignment) == set(self.slots))
-                    leaf(masks)
-
-                self.leaf = recorded
+                    assert type(masks) is tuple and list(masks) == sorted(set(masks))
+                    assert all(0 <= m <= self.rules.full for m in masks)
+                    yield masks
 
         monkeypatch.setattr(search, "_Walk", Recorded)
         hyper6 = next(s for s in standard_corpus() if s.n == 6)
@@ -188,6 +184,11 @@ class TestEnumerateAll:
                     for variant in ("literal", "corrected"):
                         enumerate_all(kind, system, k, variant=variant)
         assert len(leaves) > 100 and all(leaves)
+
+    def test_node_counts_under_a_limit_match_the_pin(self, c4, k4):
+        # the walk stops at the leaf that reaches the limit
+        assert enumerate_all("weak_ultrafilter", c4, 2, limit=1).nodes == 7
+        assert enumerate_all("tangle", k4, 1, limit=1).nodes == 1
 
     def test_frozen_counts_on_min3(self, min3):
         at_k0 = {
@@ -511,6 +512,31 @@ class TestHunt:
         verdict = hunt(9, NamedCorpus((min3,)), SearchBudget(max_nodes=1))
         assert verdict.status == HUNT_BUDGET
         assert verdict.counterexamples == ()
+
+    @pytest.mark.parametrize("problem,max_nodes,counts", [
+        (9, 1, (1, 1, 0)), (9, 20, (4, 24, 17)), (9, 100, (4, 24, 17)),
+        (10, 1, (1, 2, 0)), (10, 20, (4, 31, 17)), (10, 100, (4, 31, 17)),
+    ])
+    def test_a_cut_hunt_counts_what_it_examined(self, problem, max_nodes, counts):
+        # (systems, structures, counterexamples): a search a cap stops
+        # counts nothing, not even the families it found, and ends the sweep
+        corpus = NamedCorpus(tuple(standard_corpus()))
+        verdict = hunt(problem, corpus, SearchBudget(max_nodes=max_nodes))
+        assert verdict.status == HUNT_BUDGET
+        assert (verdict.systems_examined, verdict.structures_examined,
+                len(verdict.counterexamples)) == counts
+
+    def test_an_oversized_system_is_refused_before_its_table(self, monkeypatch, min3):
+        built = []
+        table = ConnectivitySystem.table
+        monkeypatch.setattr(
+            ConnectivitySystem, "table", lambda self: built.append(self.n) or table(self)
+        )
+        corpus = NamedCorpus((min3, min_cardinality_system(9)))
+        for problem in (9, 10):
+            with pytest.raises(SearchBudgetError, match="ground set of 9 exceeds"):
+                hunt(problem, corpus)
+        assert 3 in built and 9 not in built
 
     def test_seeded_corpus_hunts_are_repeatable(self):
         corpus = HuntCorpus(sizes=(3, 3, 4), base_seed=21, kmax=2)

@@ -159,11 +159,11 @@ MUTANTS = (
     # and fails F6 at (emptyset, emptyset, emptyset); its witness is F6's own
     Mutant(
         "problem-9-reports-a-leaf-that-is-no-weak-ultrafilter", SEARCH,
-        "                    f6 = report.result(AxiomId.F6)\n",
-        "                    fam = SeparationFamily(system, k, (\n"
-        "                        0, *sorted(set(fam.member_masks) - {system.full_mask})\n"
-        "                    ))\n"
-        "                    f6 = check_structure(system, k, fam, StructureKind.ULTRAFILTER)"
+        "                        f6 = report.result(AxiomId.F6)\n",
+        "                        fam = SeparationFamily(system, k, (\n"
+        "                            0, *sorted(set(fam.member_masks) - {system.full_mask})\n"
+        "                        ))\n"
+        "                        f6 = check_structure(system, k, fam, StructureKind.ULTRAFILTER)"
         ".result(AxiomId.F6)\n",
         ("tests/test_acceptance.py::test_criterion_09_hunters",),
     ),
@@ -736,19 +736,52 @@ MUTANTS = (
         "    key = system.n, context.bits\n",
         WALK_TESTS,
     ),
-    # equivalent within ``hunt``, which passes no limit and stops at the first
-    # cut walk; the tests of ``_enumerate`` itself kill it
+    # the two cut mutants are equivalent within ``hunt``, which passes no limit
+    # and stops at the first cut walk; the tests of ``_enumerate`` itself kill them
     Mutant(
         "cut-walk-kept", SEARCH,
-        "        if ran and walks is not None:\n",
-        "        if walks is not None:\n",
+        "        leaves = []\n        if all(",
+        "        self.leaves = leaves = []\n        if all(",
+        WALK_TESTS,
+    ),
+    Mutant(
+        "walk-stopped-by-limit-kept", SEARCH,
+        "    if walk.leaves is not None:\n        walks[key] = walk\n",
+        "    if complete:\n        walks[key] = walk\n",
         WALK_TESTS,
     ),
     Mutant(
         "replay-skips-the-leaf-check", SEARCH,
-        "                leaf(SeparationFamily(system, k, masks))\n",
-        "                found.append((SeparationFamily(system, k, masks), None))\n",
+        "            report = check_structure(system, k, family, kind, variant)\n",
+        "            if walk.leaves is not None:\n"
+        "                found.append((family, None))\n"
+        "                continue\n"
+        "            report = check_structure(system, k, family, kind, variant)\n",
         WALK_TESTS,
+    ),
+    # the walk's leaves go to the constructor, which neither sorts nor checks
+    Mutant(
+        "leaf-tuple-unsorted", SEARCH,
+        "yield tuple(sorted(self.assignment.values()))",
+        "yield tuple(self.assignment.values())",
+        ("tests/test_search.py::TestEnumerateAll::"
+         "test_leaves_record_each_orientation_under_its_slot",),
+    ),
+    Mutant(
+        "hunt-counts-a-cut-search", SEARCH,
+        "        if not result.complete:\n            raise _Cut\n"
+        "        structures_examined += len(result)\n",
+        "        structures_examined += len(result)\n"
+        "        if not result.complete:\n            raise _Cut\n",
+        HUNT_TESTS,
+    ),
+    Mutant(
+        "hunt-builds-the-table-before-the-ground-set-check", SEARCH,
+        "            _check_ground_set(system, budget)  # before max_order() builds the table\n"
+        "            top = system.max_order()\n",
+        "            top = system.max_order()\n"
+        "            _check_ground_set(system, budget)\n",
+        HUNT_TESTS + ("tests/test_cli.py::TestHunt",),
     ),
     Mutant(
         "walks-kept-across-hunts", SEARCH,
