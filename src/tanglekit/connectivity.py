@@ -103,7 +103,7 @@ class ConnectivitySystem:
         self._units = np.array(cross_masks or (), dtype=np.int64)[:, None]
         self._table: np.ndarray | None = None
         self._contexts: dict = {}  # k -> separations.EfficientContext
-        self._branch_width = None  # duality.branch_width's (width, edges, splits)
+        self._branch_width = None  # duality.branch_width's (width, splits)
         if kind == "explicit":
             self._table = np.asarray(values, dtype=np.int64)
 

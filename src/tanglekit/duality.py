@@ -7,10 +7,13 @@ into the other.  Verification is exhaustive: enumerate both sides, apply
 the transform, compare sets.
 
 Branch-width is computed by brute force over all unrooted cubic trees with
-one leaf per ground-set element, built by leaf insertion so each tree shape
-appears exactly once ((2n-5)!! trees, 10395 at the n = 8 limit).  The value
-doubles as an independent oracle: the largest k admitting a tangle should
-sit exactly one below the branch-width.
+one leaf per ground-set element ((2n-5)!! trees, 10395 at the n = 8 limit).
+A tree is held as its edges' clusters, each the leaf set on the side of its
+edge away from leaf 0, and built by inserting one leaf at a time into an
+edge, so each tree shape appears exactly once and no node ids are needed.
+A decomposition is its sorted canonical splits.  The value doubles as an
+independent oracle: the largest k admitting a tangle should sit exactly one
+below the branch-width.
 """
 
 from __future__ import annotations
@@ -29,98 +32,66 @@ DUALITY_CHECK_LIMIT = 7
 
 def dual_family(family: SeparationFamily) -> SeparationFamily:
     """Reverse every member.  An involution; orders and k are unchanged."""
-    return SeparationFamily.from_masks(family.system, family.k, family.dual_masks())
+    return SeparationFamily(family.system, family.k, family.dual_masks())
 
 
 @dataclass(frozen=True)
 class BranchDecomposition:
     """Unrooted tree with ground-set elements as leaves, internal degree 3.
 
-    Nodes below ``system.n`` are leaves labeled by their element; larger
-    ids are internal.  Each edge displays the separation whose first side
-    is the leaf set of the component holding the edge's first endpoint.
-    ``splits`` holds one canonical mask per edge, sorted; it identifies the
-    tree uniquely and is the tie-break key during optimisation.
+    The tree is held as its splits: one canonical mask per edge, the smaller
+    of the two leaf sets the edge separates, sorted.  The splits identify
+    the tree uniquely, each displays the separation it names, and their
+    tuple is the tie-break key during optimisation.  With n = 1 the tree is
+    the lone leaf 0 and has no split.
     """
 
     system: ConnectivitySystem
-    edges: tuple[tuple[int, int], ...]
     width: int
     splits: tuple[int, ...]
 
     def recompute_width(self) -> int:
-        """Walk the edges and take the max displayed order (verification)."""
-        if not self.edges:
-            return self.system.evaluate(0)
-        return max(
-            self.system.evaluate(_leaf_side(self.edges, u, v, self.system.n))
-            for u, v in self.edges
-        )
+        """The max order displayed at a split, f(emptyset) with none (verification)."""
+        evaluate = self.system.evaluate
+        return max(map(evaluate, self.splits), default=evaluate(0))
 
     def nested(self):
         """Canonical nested-list form: leaf 0 first, subtrees by min leaf."""
-        n = self.system.n
-        if n == 1:
+        if not self.splits:
             return [0]
-        adjacency = {}
-        for u, v in self.edges:
-            adjacency.setdefault(u, []).append(v)
-            adjacency.setdefault(v, []).append(u)
+        full = self.system.full_mask
+        # each split as its cluster: the leaf set away from leaf 0
+        clusters = [s ^ full if s & 1 else s for s in self.splits]
 
-        def encode(node, parent):
-            if node < n:
-                return node
-            parts = [encode(x, node) for x in adjacency[node] if x != parent]
-            parts.sort(key=_min_leaf)
-            return parts
+        def encode(cluster):
+            if cluster & (cluster - 1) == 0:
+                return cluster.bit_length() - 1
+            # the largest cluster strictly inside is one half, the rest the other
+            half = max((c for c in clusters if c & cluster == c != cluster), key=int.bit_count)
+            parts = sorted((half, cluster ^ half), key=lambda c: c & -c)
+            return [encode(part) for part in parts]
 
-        return [0, encode(adjacency[0][0], 0)]
-
-
-def _min_leaf(encoded):
-    while isinstance(encoded, list):
-        encoded = encoded[0]
-    return encoded
-
-
-def _leaf_side(edges, u, v, n):
-    """Mask of leaves reachable from u when edge (u, v) is removed."""
-    adjacency = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    mask = 0
-    stack = [u]
-    seen = {u, v}
-    while stack:
-        node = stack.pop()
-        if node < n:
-            mask |= 1 << node
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return mask
+        return [0, encode(full ^ 1)]
 
 
 def _cubic_trees(n):
     """Every unrooted tree with leaves 0..n-1 and internal degree 3, once.
 
-    Leaf m is attached by subdividing each edge of each tree on m leaves;
-    distinct insertion points give distinct trees, so no deduplication is
-    needed.  Internal ids start at n.
+    A tree is the list of its edges' clusters, the leaf set on the side of
+    each edge away from leaf 0.  Leaf m is inserted on each edge of each
+    tree on m leaves: on the edge with cluster e, the clusters holding e
+    (e itself and every edge on the way to leaf 0) gain m, and the lower
+    half of the subdivided edge (e) and the new leaf's edge ({m}) are
+    appended.  Distinct insertion points give distinct trees, so no
+    deduplication is needed.
     """
-    trees = [[(0, 1)]] if n >= 2 else [[]]
+    trees = [[0b10]] if n >= 2 else [[]]
     for leaf in range(2, n):
-        grown = []
-        internal = n + (leaf - 2)
-        for tree in trees:
-            for i, (u, v) in enumerate(tree):
-                patched = tree[:i] + tree[i + 1:]
-                grown.append(
-                    patched + [(u, internal), (internal, v), (internal, leaf)]
-                )
-        trees = grown
+        bit = 1 << leaf
+        trees = [
+            [c | bit if c & e == e else c for c in tree] + [e, bit]
+            for tree in trees for e in tree
+        ]
     return trees
 
 
@@ -137,26 +108,16 @@ def branch_width(system: ConnectivitySystem) -> tuple[int, BranchDecomposition]:
     if n > TREE_ENUMERATION_LIMIT:
         raise GroundSetLimitError("branch_width", n, TREE_ENUMERATION_LIMIT)
     if system._branch_width is None:
-        best = None
-        for edges in _cubic_trees(n):
-            if edges:
-                displayed = [
-                    _leaf_side(edges, u, v, n) for u, v in edges
-                ]
-                width = max(system.evaluate(m) for m in displayed)
-                splits = tuple(sorted(
-                    min(m, system.full_mask ^ m) for m in displayed
-                ))
-            else:
-                width = system.evaluate(0)
-                splits = ()
-            key = (width, splits)
-            if best is None or key < best[0]:
-                best = (key, tuple(tuple(e) for e in edges))
-        (width, splits), edges = best
-        system._branch_width = (width, edges, splits)
-    width, edges, splits = system._branch_width
-    return width, BranchDecomposition(system, edges, width, splits)
+        f = system.table().tolist()
+        full = system.full_mask
+        # f is symmetric, so f at a cluster is the order its edge displays
+        system._branch_width = min(
+            (max((f[c] for c in tree), default=f[0]),
+             tuple(sorted(min(c, full ^ c) for c in tree)))
+            for tree in _cubic_trees(n)
+        )
+    width, splits = system._branch_width
+    return width, BranchDecomposition(system, width, splits)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Dual transform, exact branch-width, and the theorem verifiers."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,15 +18,34 @@ from tanglekit import (
     builtin_system,
     check_structure,
     dual_family,
+    graph_cut_system,
     min_cardinality_system,
     random_hyperedge_system,
+    standard_corpus,
     verify_branchwidth_duality,
     verify_theorem,
 )
 from tanglekit import duality
-from tanglekit.duality import _cubic_trees, _leaf_side
+from tanglekit.duality import _cubic_trees
 
 DOUBLE_FACTORIALS = {2: 1, 3: 1, 4: 3, 5: 15, 6: 105, 7: 945}
+
+
+def _seeded_cut(n, seed):
+    rng = random.Random(seed)
+    edges = [(str(u), str(v)) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    return graph_cut_system([str(v) for v in range(n)], edges, name=f"cut{n}-s{seed}")
+
+
+def _witness_systems():
+    """The standard corpus (which holds every builtin) and seeded graph-cut
+    and hyperedge systems at n = 7 and 8, up to the tree enumeration cap."""
+    systems = standard_corpus()
+    for n in (7, 8):
+        for seed in (0, 1):
+            systems.append(_seeded_cut(n, seed))
+            systems.append(random_hyperedge_system(n, n, 3, seed, name=f"hyper{n}-s{seed}"))
+    return systems
 
 
 class TestDualFamily:
@@ -56,25 +78,27 @@ class TestCubicTrees:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_no_tree_appears_twice(self, n):
-        signatures = set()
-        for edges in _cubic_trees(n):
-            sides = frozenset(
-                min(m, (1 << n) - 1 ^ m)
-                for m in (_leaf_side(edges, u, v, n) for u, v in edges)
-            )
-            signatures.add(sides)
+        signatures = {frozenset(tree) for tree in _cubic_trees(n)}
         assert len(signatures) == DOUBLE_FACTORIALS[n]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_leaves_have_degree_one_and_internals_three(self, n):
-        for edges in _cubic_trees(n):
-            assert len(edges) == 2 * n - 3
-            degree = {}
-            for u, v in edges:
-                degree[u] = degree.get(u, 0) + 1
-                degree[v] = degree.get(v, 0) + 1
-            assert all(degree[leaf] == 1 for leaf in range(n))
-            assert all(d == 3 for node, d in degree.items() if node >= n)
+        """Read through the clusters, each edge's leaf set away from leaf 0:
+        2n - 3 distinct edges, leaf 0's edge holds every other leaf, each
+        other leaf has its own edge, and every internal node below leaf 0
+        splits its cluster into exactly two."""
+        rest = (1 << n) - 2
+        for tree in _cubic_trees(n):
+            clusters = set(tree)
+            assert len(tree) == len(clusters) == 2 * n - 3
+            assert rest in clusters
+            assert all(1 << e in clusters for e in range(1, n))
+            for c in clusters:
+                if c & (c - 1):
+                    inside = [d for d in clusters if d & c == d != c]
+                    top = [d for d in inside if not any(d & e == d != e for e in inside)]
+                    assert len(top) == 2 and top[0] | top[1] == c
+                    assert top[0] & top[1] == 0
 
 
 class TestBranchWidth:
@@ -100,23 +124,38 @@ class TestBranchWidth:
             width, bd = branch_width(system)
             assert bd.width == width
             assert bd.recompute_width() == width
-            assert len(bd.edges) == 2 * system.n - 3
+            assert len(bd.splits) == 2 * system.n - 3
             assert bd.splits == tuple(sorted(bd.splits))
 
     def test_witness_frozen_for_c4(self, c4):
         _, bd = branch_width(c4)
-        assert bd.edges == ((0, 4), (4, 1), (4, 5), (5, 2), (5, 3))
         assert bd.splits == (1, 2, 3, 4, 7)
         assert bd.nested() == [0, [1, [2, 3]]]
+
+    def test_witnesses_match_the_pin(self):
+        rows = []
+        for system in _witness_systems():
+            width, bd = branch_width(system)
+            rows.append((system.describe(), width, bd.splits, bd.nested()))
+        assert [width for _, width, _, _ in rows] == [
+            1, 1, 2, 3, 1, 1, 2, 2, 3, 3, 3, 3, 3, 3, 4, 3, 3, 4,
+            4, 4, 4, 5, 5, 4, 4, 4, 4, 3, 3, 5, 4, 5, 2, 4, 4, 4,
+        ]
+        assert rows[-4] == (
+            "cut8-s0", 2, (1, 2, 4, 6, 8, 9, 16, 25, 32, 38, 64, 89, 127),
+            [0, [[[[[[1, 2], 5], 7], 6], 4], 3]],
+        )
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "4bb1020c5ff7daaf0b79be7b6588c9da0eb623203b0edcdfbeceb3bb59592bda"
+        )
 
     def test_tie_break_is_least_splits_tuple(self, c4):
         width, bd = branch_width(c4)
         candidates = []
-        for edges in _cubic_trees(c4.n):
-            displayed = [_leaf_side(edges, u, v, c4.n) for u, v in edges]
-            if max(c4.evaluate(m) for m in displayed) == width:
+        for clusters in _cubic_trees(c4.n):
+            if max(c4.evaluate(m) for m in clusters) == width:
                 candidates.append(
-                    tuple(sorted(min(m, c4.full_mask ^ m) for m in displayed))
+                    tuple(sorted(min(m, c4.full_mask ^ m) for m in clusters))
                 )
         assert bd.splits == min(candidates)
 
@@ -134,7 +173,7 @@ class TestBranchWidth:
         width, tree = branch_width(system)
         assert calls == [5]
         assert {v.bw for v in verdicts} == {width} == {fresh[0]}
-        assert (tree.edges, tree.splits) == (fresh[1].edges, fresh[1].splits)
+        assert tree.splits == fresh[1].splits
 
     def test_deterministic(self, k4):
         assert branch_width(k4) == branch_width(k4)
@@ -142,13 +181,13 @@ class TestBranchWidth:
     def test_single_element_ground_set(self):
         s = min_cardinality_system(1)
         width, bd = branch_width(s)
-        assert (width, bd.edges, bd.splits) == (0, (), ())
+        assert (width, bd.splits) == (0, ())
         assert bd.nested() == [0]
         assert bd.recompute_width() == 0
 
     def test_two_element_ground_set(self, p3):
         width, bd = branch_width(p3)
-        assert (width, bd.edges) == (1, ((0, 1),))
+        assert (width, bd.splits) == (1, (1,))
         assert bd.nested() == [0, 1]
 
     def test_ground_set_cap(self):

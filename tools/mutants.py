@@ -37,6 +37,7 @@ IO = "src/tanglekit/io.py"
 SEARCH = "src/tanglekit/search.py"
 CONNECTIVITY = "src/tanglekit/connectivity.py"
 SEPARATIONS = "src/tanglekit/separations.py"
+DUALITY = "src/tanglekit/duality.py"
 KERNEL_TESTS = (
     "tests/test_structures.py::TestKernelMatchesScans",
     "tests/test_structures.py::TestPinnedResults",
@@ -74,6 +75,9 @@ HUNT_TESTS = ("tests/test_search.py::TestHunt",)
 WALK_TESTS = ("tests/test_search.py::TestWalkReuse",)
 RENDER_TESTS = ("tests/test_io.py::TestStreamedSave::test_each_shared_descriptor_is_rendered_once",)
 RELABEL_TESTS = ("tests/test_relabelling.py",)
+# the tree enumeration, the witness pin and the frozen widths
+BRANCH_WIDTH_TESTS = ("tests/test_duality.py::TestCubicTrees", "tests/test_duality.py::TestBranchWidth")
+DUAL_TESTS = ("tests/test_duality.py::TestDualFamily",)
 # the one checker of both verification modes; the pin runs first, as a
 # hypothesis test that fails spends minutes shrinking its example
 VERIFY_TESTS = (
@@ -837,6 +841,51 @@ MUTANTS = (
         "            if key in shared:  # a descriptor, whose keys are str\n",
         "            if False:\n",
         RENDER_TESTS,
+    ),
+    Mutant(
+        "cluster-never-gains-the-inserted-leaf", DUALITY,
+        "[c | bit if c & e == e else c for c in tree] + [e, bit]",
+        "[c for c in tree] + [e, bit]",
+        BRANCH_WIDTH_TESTS,
+    ),
+    Mutant(
+        "tie-break-ignores-the-splits", DUALITY,
+        "        system._branch_width = min(\n"
+        "            (max((f[c] for c in tree), default=f[0]),\n"
+        "             tuple(sorted(min(c, full ^ c) for c in tree)))\n"
+        "            for tree in _cubic_trees(n)\n"
+        "        )",
+        "        system._branch_width = min(\n"
+        "            ((max((f[c] for c in tree), default=f[0]),\n"
+        "              tuple(sorted(min(c, full ^ c) for c in tree)))\n"
+        "             for tree in _cubic_trees(n)),\n"
+        "            key=lambda best: best[0],\n"
+        "        )",
+        BRANCH_WIDTH_TESTS,
+    ),
+    Mutant(
+        "nested-orders-subtrees-by-largest-leaf", DUALITY,
+        "key=lambda c: c & -c)",
+        "key=int.bit_length)",
+        BRANCH_WIDTH_TESTS,
+    ),
+    Mutant(
+        "nested-takes-the-smallest-inner-cluster", DUALITY,
+        "half = max((c for c in clusters",
+        "half = min((c for c in clusters",
+        BRANCH_WIDTH_TESTS,
+    ),
+    Mutant(
+        "recompute-width-reads-only-the-first-split", DUALITY,
+        "max(map(evaluate, self.splits), default=evaluate(0))",
+        "max(map(evaluate, self.splits[:1]), default=evaluate(0))",
+        BRANCH_WIDTH_TESTS,
+    ),
+    Mutant(
+        "dual-family-keeps-the-members", DUALITY,
+        "SeparationFamily(family.system, family.k, family.dual_masks())",
+        "SeparationFamily(family.system, family.k, family.member_masks)",
+        DUAL_TESTS,
     ),
 )
 
