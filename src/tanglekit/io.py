@@ -26,47 +26,44 @@ duality report        version, system, bw, max_tangle_order, per_k,
 branch-width report   version, system, width, tree
 ====================  ======================================================
 
-Sides and witnesses are sorted element lists; families list sides in
-ascending mask order.  Serialization is indent-2 UTF-8 with a trailing
-newline, so ``save(load(path))`` reproduces the file byte for byte.  One
-emitter, byte-equal to ``json.dumps(doc, indent=2, ensure_ascii=False)``,
-writes it into a string for ``dumps`` and into the file for ``save`` entry
-by entry.  The schema checks, which refuse a string UTF-8 cannot encode (an
-object's names and vertex labels included), and a trial encoding of the
-free-form hunt corpus run before the file is opened, so a save they reject
-leaves the target as it was; a full disk leaves the entries written so far.
-The loader reads the file in chunks of 2**16 characters and decodes the
-top-level object member by member with the stdlib scanner, and an array of
-entries item by item, making each entry canonical as soon as it is decoded,
-so a load never holds the whole text.  A malformed file is read a second
-time, whole, from the same open file, for the offset of its first byte that
-is not UTF-8, else for the message, line, column and char ``json.loads``
+Sides and witnesses are sorted element lists; families list sides in ascending
+mask order.  Serialization is indent-2 UTF-8 with a trailing newline, so
+``save(load(path))`` reproduces the file byte for byte.  One emitter,
+byte-equal to ``json.dumps(doc, indent=2, ensure_ascii=False)``, writes it
+into a string for ``dumps`` and into the file for ``save`` entry by entry.
+The schema checks, which refuse a string UTF-8 cannot encode (an object's
+names and vertex labels included), and a trial encoding of the free-form hunt
+corpus, which ``to_document`` runs too, come before the file is opened, so a
+save they reject leaves the target as it was; a full disk leaves the entries
+written so far.  The loader reads the file in chunks of 2**16 characters and
+decodes the top-level object member by member with the stdlib scanner, and an
+array of entries item by item, making each entry canonical as soon as it is
+decoded, so a load never holds the whole text.  A malformed file is read a
+second time, whole, from the same open file, for the offset of its first byte
+that is not UTF-8, else for the message, line, column and char ``json.loads``
 gives (or its refusal of an integer of too many digits); a malformed pipe,
-which cannot be read again, gets "cannot read".  Ingest is strict:
-unknown fields, duplicate keys, bad versions, wrong types, out-of-range
-elements and duplicate sides are rejected, and recomputable values (orders,
-the k bound's sign) verified, not believed.  A counterexample's system is built,
-once per distinct descriptor in a call (and in a load checked once per
-distinct JSON text), a failed check raising a ``SchemaError``, and its sides
-and witness checked against that system's n.
+which cannot be read again, gets "cannot read".  Ingest is strict: unknown
+fields, duplicate keys, bad versions, wrong types, out-of-range elements and
+duplicate sides are rejected, and recomputable values (orders, the k bound's
+sign) verified, not believed.  A counterexample's system is built, once per
+distinct descriptor in a call (and in a load checked once per distinct JSON
+text), a failed check raising a ``SchemaError``, and its sides and witness
+checked against that system's n.
 
-Every call builds its document in one context, which pauses the cyclic GC
-(it would rescan the document as it is allocated) and keeps one list per
+Every call builds its document in one context, whose memo keeps one list per
 distinct side, parsed, a caller's or from a mask, and one dict per distinct
 counterexample system; of a parsed or a caller's document also one list per
 distinct witness and one string per distinct claim, and an enumerated field
-becomes the toolkit's own constant.  In every call, a file or document
-nested past the recursion limit is a ``SchemaError``, "nested too deeply".
-A loaded document, validated in place, shares these: treat it as read-only
-or take ``to_document(doc)``, a copy of the document it builds, every list
-and dict new.  ``save`` and ``dumps`` share a dict's equal sides and never
-change it.
+becomes the toolkit's own constant.  A file or document nested past the
+recursion limit is a ``SchemaError``, "nested too deeply".  A loaded document,
+validated in place, shares these: treat it as read-only or take
+``to_document(doc)``, a copy of the document it builds, every list and dict
+new.  ``save`` and ``dumps`` share a dict's equal sides and never change it.
 """
 
 from __future__ import annotations
 
 import copy
-import gc
 import json
 import re
 from collections import defaultdict
@@ -90,21 +87,24 @@ _AXIOM_VALUES = tuple(a.value for a in AxiomId)
 _KIND_VALUES = tuple(k.value for k in StructureKind)
 
 
-class _Memo(dict):
-    """The memo of one build: a side's tuple or mask -> the side's one list, a
-    witness's tuple of side tuples -> its one list, a counterexample system's
-    JSON text or object -> its descriptor's one dict, ("n", that text) -> its
-    built system's n, and ("text", a string) -> that string's one object.
-    ``parsed`` is true in a load, whose values have JSON's types only."""
-
-    def __init__(self, parsed):
-        super().__init__()
-        self.parsed = parsed
+class _Sides(dict):
+    """A side's tuple or mask -> the side's one list; a missing mask is listed."""
 
     def __missing__(self, mask):
         elements = mask_elements(mask)
         self[mask] = elements = self.setdefault(tuple(elements), elements)
         return elements
+
+
+class _Memo:
+    """One build's memo, a table per shared value: ``sides``; ``witnesses``, a
+    witness's side tuples -> its one list; ``strings``, a claim -> its one
+    string; ``systems``, a descriptor's JSON text or a system -> (its one dict,
+    its n).  ``parsed`` is true in a load, whose values have JSON's types only."""
+
+    def __init__(self, parsed):
+        self.parsed = parsed
+        self.sides, self.witnesses, self.strings, self.systems = _Sides(), {}, {}, {}
 
 
 _MEMO = ContextVar("tanglekit.io build memo")  # set only within a build
@@ -121,20 +121,15 @@ def _reject_duplicate_keys(pairs):
 
 @contextmanager
 def _building(where="document", parsed=False):
-    """Build a document no caller holds: a fresh memo, the cyclic GC paused
-    (documents are trees and the toolkit starts no threads; a disabled GC stays so).
-    Nesting past the recursion limit is a ``SchemaError`` naming ``where``."""
+    """Build a document no caller holds in a fresh memo; nesting past the
+    recursion limit is a ``SchemaError`` naming ``where``."""
     token = _MEMO.set(_Memo(parsed))
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         yield
     except RecursionError as exc:  # in the scanner, a branch-width tree or the emitter
         raise SchemaError(f"{where}: nested too deeply") from exc
     finally:
         _MEMO.reset(token)
-        if enabled:
-            gc.enable()
 
 
 # characters read at a time: a load's transient is 0.5 MB at 2**16, 0.2 MB at
@@ -364,7 +359,7 @@ def _side(value, where):
                 break
             last = e
         else:
-            return _MEMO.get().setdefault(tuple(value), value)
+            return _MEMO.get().sides.setdefault(tuple(value), value)
     for i, e in enumerate(_list(value, where)):
         _int(e, f"{where}[{i}]", minimum=0)
     if len(set(value)) != len(value):
@@ -384,17 +379,15 @@ def _family_sides(value, where):
 
 def _witness(value, where):
     """A witness: sides in any order, repeats allowed.  Equal witnesses are one
-    list, keyed by their tuple of side tuples; of the memo's other keys only
-    the empty side's equals one, the empty witness's, with an equal list."""
+    list, keyed by their tuple of side tuples."""
     sides = _sides(value, where)
-    return _MEMO.get().setdefault(tuple(map(tuple, sides)), sides)
+    return _MEMO.get().witnesses.setdefault(tuple(map(tuple, sides)), sides)
 
 
 def _shared_str(value, where):
-    """A free-form string; equal ones are one string, keyed apart from the
-    descriptor texts the memo also holds."""
+    """A free-form string; equal ones are one string."""
     value = _str(value, where)
-    return _MEMO.get().setdefault(("text", value), value)
+    return _MEMO.get().strings.setdefault(value, value)
 
 
 def _pair(value, where):
@@ -497,23 +490,22 @@ def _counterexample_system(value, where):
             text = json.dumps(value)
         except RecursionError:  # nested past any descriptor: the check refuses it
             pass
-    if ("n", text) not in memo:
+    if text not in memo.systems:
         out = _system(value, where, nested=True)
         text = json.dumps(out)
-        if ("n", text) not in memo:
-            memo["n", text] = _built(out, where)
-        memo.setdefault(text, out)
-    return memo[text], memo["n", text]
+        if text not in memo.systems:
+            memo.systems[text] = out, _built(out, where)
+    return memo.systems[text]
 
 
 def _descriptor(system, where):
     """A system object's descriptor, checked once per object, and shared as a
     counterexample's is (the object is built already)."""
-    memo = _MEMO.get()
-    if system not in memo:
+    systems = _MEMO.get().systems
+    if system not in systems:
         out = _system(system_descriptor(system), where, nested=True)
-        memo[system] = memo.setdefault(json.dumps(out), out)
-    return memo[system]
+        systems[system] = systems.setdefault(json.dumps(out), (out, system.n))
+    return systems[system][0]
 
 
 _LAST = itemgetter(-1)
@@ -600,9 +592,8 @@ def _canon_document(doc, done=()):
 
 
 def _listed(masks):
-    """The sides of ``masks``: the memo's lists."""
-    memo = _MEMO.get()
-    return [memo[m] for m in masks]
+    sides = _MEMO.get().sides  # the one list of each side, listed on first use
+    return [sides[m] for m in masks]
 
 
 def _fill(fields, *values):
@@ -669,11 +660,19 @@ def _copied(value):
     return copy.deepcopy(value)
 
 
+def _encodable(doc):
+    """``doc``, a document or a list, after a trial UTF-8 encoding of each (untyped) corpus."""
+    for d in doc if isinstance(doc, list) else (doc,):
+        if "corpus" in d:
+            _emitter()(d["corpus"], "\n").encode()
+    return doc
+
+
 def to_document(obj) -> dict:
     """Canonical JSON-shaped dict of a toolkit object or parsed dict, checked as
     ``save`` checks it and copied for the caller to edit."""
     with _building():
-        return _copied(_built_document(obj))
+        return _copied(_encodable(_built_document(obj)))
 
 
 def _emitter(shared=frozenset()):
@@ -746,7 +745,7 @@ def _write(doc, write) -> None:
     by item; any other value, such as one entry, is one string of the
     emitter, whose memo serves the whole call.
     """
-    emit = _emitter({id(v) for v in _MEMO.get({}).values() if type(v) is dict})
+    emit = _emitter({id(d) for d, _ in _MEMO.get(_Memo(False)).systems.values()})
 
     def walk(head, value, nl, document):  # writes ``head``, then ``value``
         inner = nl + "  "
@@ -788,14 +787,10 @@ def save(document, path) -> None:
     JSON or UTF-8 cannot hold, raise before the file is opened, leaving the
     target as it was; an error while writing leaves the part written so far."""
     with _building():
-        doc = _documents(document)
-        for d in doc if isinstance(doc, list) else (doc,):
-            if "corpus" in d:  # the one field no check types: written to UTF-8
-                _emitter()(d["corpus"], "\n").encode()
+        doc = _encodable(_documents(document))
         with Path(path).open("w", encoding="utf-8") as file:
             _write(doc, file.write)
             file.write("\n")
-        doc = d = None  # freed here, or the first collection after the pause walks it
 
 
 def load_document(path) -> dict:

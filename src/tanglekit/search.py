@@ -480,14 +480,16 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
     passes F6, else it fails at T3 (proofs: README, hunts).  A corpus with
     no systems is refused, since a hunt over nothing shows nothing.
 
-    Identical corpus and budget give an identical verdict, in which equal
-    member-mask tuples and witnesses are one tuple each.  A search walks
-    once per key of axioms, n and separations of order <= k in a call:
-    a later (system, k) with the same key re-checks the finished walk's
-    leaves on its own system, and the node count and wall-clock caps apply
-    to the walk, so such a re-check does not count against them.  The first
-    search a cap stops ends the sweep; a system larger than the budget's
-    ground set is refused before its value table is built.
+    Identical corpus and budget give an identical verdict, unless a
+    ``max_seconds`` cap stops a search: on another machine it may stop at
+    another node.  Equal witnesses in a verdict are one tuple, and so are
+    equal member-mask tuples when f is symmetric, as every builder makes it.
+    A search walks once per key of axioms, n and separations of order <= k
+    in a call: a later (system, k) with the same key re-checks the finished
+    walk's leaves on its own system, and the node count and wall-clock caps
+    apply to the walk, so such a re-check does not count against them.  The
+    first search a cap stops ends the sweep; a system larger than the
+    budget's ground set is refused before its value table is built.
     """
     if check_int(problem, "problem") not in PROBLEMS:
         raise ValueError(f"problem must be {' or '.join(map(str, PROBLEMS))}")
@@ -499,14 +501,13 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
     if not systems:
         raise ValueError("the corpus holds no systems")
     counterexamples = []
-    shared = {}  # a tuple of masks -> its one tuple in this verdict
+    shared = {}  # a witness -> its one tuple in this verdict
     walks = {}  # the walks of this call, by key: see ``_enumerate``
     systems_examined = structures_examined = 0
 
     def found(fam, claim, axiom, witness):
-        masks = shared.setdefault(fam.member_masks, fam.member_masks)
         counterexamples.append(Counterexample(
-            system, k, claim, SeparationFamily(system, k, masks), axiom,
+            system, k, claim, fam, axiom,
             shared.setdefault(witness, witness),
         ))
 
@@ -551,11 +552,5 @@ def hunt(problem: int, corpus, budget: SearchBudget | None = None) -> HuntVerdic
         status = HUNT_FOUND if counterexamples else HUNT_NONE_FOUND
     except _Cut:
         status = HUNT_BUDGET
-    return HuntVerdict(
-        problem,
-        corpus.describe(),
-        systems_examined,
-        structures_examined,
-        tuple(counterexamples),
-        status,
-    )
+    return HuntVerdict(problem, corpus.describe(), systems_examined, structures_examined,
+                       tuple(counterexamples), status)

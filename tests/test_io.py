@@ -674,7 +674,7 @@ class TestWriter:
 
 
 class TestGcState:
-    """Public I/O calls pause the cyclic GC and leave it as they found it."""
+    """Public I/O calls leave the cyclic GC as they found it."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_state_is_restored(self, tmp_path, min3, enabled):
@@ -708,32 +708,6 @@ class TestGcState:
                 assert gc.isenabled() is enabled, i
         finally:
             (gc.enable if before else gc.disable)()
-
-    def test_save_frees_the_document_before_the_gc_resumes(
-        self, tmp_path, monkeypatch, min3, c4
-    ):
-        """Otherwise the first collection after the pause walks all of it
-        (about 0.2 s on the corpus problem-9 verdict)."""
-        verdict = hunt(9, NamedCorpus((min3, c4)))
-        young = []
-        resume = gc.enable
-
-        def enable():
-            young.extend(
-                o for o in gc.get_objects(generation=0)
-                if type(o) is list and o and type(o[0]) is dict and "failing_axiom" in o[0]
-            )
-            resume()
-
-        monkeypatch.setattr(gc, "enable", enable)
-        before = gc.isenabled()
-        try:
-            resume()
-            save(verdict, tmp_path / "verdict.json")
-        finally:
-            (resume if before else gc.disable)()
-        assert young == []
-        assert (tmp_path / "verdict.json").read_text(encoding="utf-8") == io.dumps(verdict)
 
 
 class _SetCorpus(NamedCorpus):
@@ -1046,6 +1020,20 @@ class TestToDocument:
             with pytest.raises(SchemaError, match=message):
                 save(obj, tmp_path / "system.json")
 
+    def test_a_corpus_is_checked_as_save_checks_it(self, tmp_path, min3):
+        """A corpus JSON or UTF-8 cannot hold, of an object or a caller's dict."""
+        good = to_document(hunt(9, NamedCorpus((min3,))))
+        for corpus, error, message in [
+            (_SetCorpus((min3,)), TypeError, "set is not JSON serializable"),
+            (_SurrogateCorpus((min3,)), UnicodeEncodeError, "surrogates not allowed"),
+        ]:
+            for obj in (hunt(9, corpus), {**good, "corpus": corpus.describe()}):
+                with pytest.raises(error, match=message):
+                    to_document(obj)
+                with pytest.raises(error, match=message):
+                    save(obj, tmp_path / "verdict.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_corpus_tuple_of_lists_is_copied(self, min3):
         verdict = hunt(9, _TupleCorpus((min3,)))
         doc = to_document(verdict)
@@ -1062,6 +1050,18 @@ class TestToDocument:
         save(system, tmp_path / "system.json")
         io.dumps(system)
         del system
+        gc.collect()
+        assert ref() is None
+
+    def test_a_failed_call_keeps_nothing_alive(self, tmp_path):
+        system = hyperedge_system(4, [(0, 1), (1, 2, 3)])
+        ref = weakref.ref(system)
+        unknown = {"version": 1, "payload": 3}
+        for call in (lambda: save([system, unknown], tmp_path / "out.json"),
+                     lambda: io.dumps([system, unknown])):
+            with pytest.raises(SchemaError, match="not recognised"):
+                call()
+        del system, call
         gc.collect()
         assert ref() is None
 

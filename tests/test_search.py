@@ -573,17 +573,6 @@ class TestHunt:
         text = io.dumps(verdict)
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHARING_PINS[problem]
 
-    def test_equal_families_of_two_walks_share_a_tuple(self):
-        # a walk's replays share its tuples, so only two walks can give equal
-        # families two tuples: here the tangle {(emptyset, X)} at n = 1 and
-        # n = 2, whose duals are no weak ultrafilters, as only an f that is
-        # not symmetric (built unverified) allows
-        pair = (ConnectivitySystem(1, "explicit", values=(0, 1), name="a"),
-                ConnectivitySystem(2, "explicit", values=(0, 1, 2, 1), name="b"))
-        ces = hunt(10, NamedCorpus(pair, kmax=0)).counterexamples
-        assert [(c.system.n, c.family.member_masks) for c in ces] == [(1, (0,)), (2, (0,))]
-        assert ces[0].family.member_masks is ces[1].family.member_masks
-
     def test_two_hunts_share_no_tuple(self):
         first, second = (hunt(9, self.SHARING_CORPUS) for _ in range(2))
 

@@ -44,7 +44,6 @@ KERNEL_TESTS = (
     "tests/test_structures.py::TestSingleAxioms",
 )
 WRITER_TESTS = ("tests/test_io.py::TestByteFormat", "tests/test_io.py::TestWriter")
-GC_TESTS = ("tests/test_io.py::TestGcState",)
 STREAM_TESTS = ("tests/test_io.py::TestStreamedSave",)
 LOAD_TESTS = ("tests/test_io.py::TestStreamedLoad",)
 INTEGER_TESTS = ("tests/test_integer_inputs.py",)
@@ -264,14 +263,11 @@ MUTANTS = (
     ),
     Mutant(
         "save-opens-before-the-corpus-check", IO,
-        "        for d in doc if isinstance(doc, list) else (doc,):\n"
-        '            if "corpus" in d:  # the one field no check types: written to UTF-8\n'
-        '                _emitter()(d["corpus"], "\\n").encode()\n'
+        "        doc = _encodable(_documents(document))\n"
         '        with Path(path).open("w", encoding="utf-8") as file:\n',
+        "        doc = _documents(document)\n"
         '        with Path(path).open("w", encoding="utf-8") as file:\n'
-        "            for d in doc if isinstance(doc, list) else (doc,):\n"
-        '                if "corpus" in d:\n'
-        '                    _emitter()(d["corpus"], "\\n").encode()\n',
+        "            _encodable(doc)\n",
         STREAM_TESTS,
     ),
     Mutant(
@@ -289,8 +285,8 @@ MUTANTS = (
     ),
     Mutant(
         "to-document-returns-the-shared-tree", IO,
-        "        return _copied(_built_document(obj))\n",
-        "        return _built_document(obj)\n",
+        "        return _copied(_encodable(_built_document(obj)))\n",
+        "        return _encodable(_built_document(obj))\n",
         NO_ALIASING_TESTS,
     ),
     Mutant(
@@ -302,7 +298,7 @@ MUTANTS = (
     Mutant(
         "build-memo-not-reset", IO,
         "        _MEMO.reset(token)\n",
-        "",
+        "        pass\n",
         TO_DOCUMENT_TESTS,
     ),
     Mutant(
@@ -312,6 +308,12 @@ MUTANTS = (
         NO_ALIASING_TESTS,
     ),
     Mutant(
+        "to-document-skips-the-corpus-trial", IO,
+        "return _copied(_encodable(_built_document(obj)))",
+        "return _copied(_built_document(obj))",
+        TO_DOCUMENT_TESTS,
+    ),
+    Mutant(
         "corpus-copy-shares-nested-values", IO,
         "    return copy.deepcopy(value)\n",
         "    return value\n",
@@ -319,14 +321,15 @@ MUTANTS = (
     ),
     Mutant(
         "load-memo-key-drops-an-element", IO,
-        "_MEMO.get().setdefault(tuple(value), value)",
-        "_MEMO.get().setdefault(tuple(value[:-1]), value)",
+        "_MEMO.get().sides.setdefault(tuple(value), value)",
+        "_MEMO.get().sides.setdefault(tuple(value[:-1]), value)",
         NO_ALIASING_TESTS,
     ),
     Mutant(
         "descriptors-shared-by-kind-and-n", IO,
-        "memo.setdefault(text, out)",
-        'memo.setdefault((out["kind"], out.get("n")), out)',
+        "memo.systems[text] = out, _built(out, where)",
+        "memo.systems[text] = memo.systems.setdefault(\n"
+        '                (out["kind"], out.get("n")), (out, _built(out, where)))',
         NO_ALIASING_TESTS,
     ),
     Mutant(
@@ -366,20 +369,10 @@ MUTANTS = (
         ("tests/test_io.py::TestFamilyDocuments",),
     ),
     Mutant(
-        "gc-reenabled-unconditionally", IO,
-        "        if enabled:\n            gc.enable()",
-        "        gc.enable()",
-        GC_TESTS,
-    ),
-    Mutant(
-        "gc-pause-without-finally", IO,
-        "    try:\n        yield\n    except RecursionError as exc:"
-        "  # in the scanner, a branch-width tree or the emitter\n"
-        '        raise SchemaError(f"{where}: nested too deeply") from exc\n'
-        "    finally:\n        _MEMO.reset(token)\n"
-        "        if enabled:\n            gc.enable()",
-        "    yield\n    _MEMO.reset(token)\n    if enabled:\n        gc.enable()",
-        GC_TESTS,
+        "memo-kept-after-a-failed-call", IO,
+        "    finally:\n        _MEMO.reset(token)\n",
+        "    else:\n        _MEMO.reset(token)\n",
+        TO_DOCUMENT_TESTS,
     ),
     Mutant(
         "side-accepts-equal-neighbours", IO,
@@ -616,14 +609,8 @@ MUTANTS = (
         "check(item, None)",
         LOAD_TESTS,
     ),
-    # one object per distinct value: the hunt's tuples, the loader's witnesses
+    # one object per distinct value: the hunt's witnesses, the loader's witnesses
     # and strings
-    Mutant(
-        "hunt-shares-no-family-masks", SEARCH,
-        "masks = shared.setdefault(fam.member_masks, fam.member_masks)",
-        "masks = fam.member_masks",
-        HUNT_TESTS,
-    ),
     Mutant(
         "hunt-shares-no-witness", SEARCH,
         "            shared.setdefault(witness, witness),\n",
@@ -632,13 +619,13 @@ MUTANTS = (
     ),
     Mutant(
         "hunt-table-kept-across-calls", SEARCH,
-        "    shared = {}  # a tuple of masks",
-        '    shared = hunt.__dict__.setdefault("shared", {})  # a tuple of masks',
+        "    shared = {}  # a witness",
+        '    shared = hunt.__dict__.setdefault("shared", {})  # a witness',
         HUNT_TESTS,
     ),
     Mutant(
         "loaded-witnesses-not-shared", IO,
-        "return _MEMO.get().setdefault(tuple(map(tuple, sides)), sides)",
+        "return _MEMO.get().witnesses.setdefault(tuple(map(tuple, sides)), sides)",
         "return sides",
         NO_ALIASING_TESTS,
     ),
@@ -652,12 +639,6 @@ MUTANTS = (
         "claims-not-shared", IO,
         '"claim": _shared_str,',
         '"claim": _str,',
-        NO_ALIASING_TESTS,
-    ),
-    Mutant(
-        "claim-keyed-with-the-descriptor-texts", IO,
-        '.setdefault(("text", value), value)',
-        ".setdefault(value, value)",
         NO_ALIASING_TESTS,
     ),
     Mutant(
@@ -687,14 +668,15 @@ MUTANTS = (
     ),
     Mutant(
         "descriptor-built-per-counterexample", IO,
-        '        if ("n", text) not in memo:\n            memo["n", text] = _built(out, where)\n',
-        '        memo["n", text] = _built(out, where)\n',
+        "        if text not in memo.systems:\n"
+        "            memo.systems[text] = out, _built(out, where)\n",
+        "        memo.systems.setdefault(text, (out, _built(out, where)))\n",
         HUNT_DOCUMENT_TESTS,
     ),
     Mutant(
         "save-builds-object-descriptors", IO,
-        "memo[system] = memo.setdefault(json.dumps(out), out)",
-        "memo[system] = memo.setdefault(json.dumps(out), _built(out, where) and out)",
+        "systems.setdefault(json.dumps(out), (out, system.n))",
+        "systems.setdefault(json.dumps(out), (out, _built(out, where)))",
         HUNT_DOCUMENT_TESTS,
     ),
     Mutant(
@@ -834,6 +816,12 @@ MUTANTS = (
         "emitter-memo-on-every-dict", IO,
         "            if key in shared:  # a descriptor, whose keys are str\n",
         "            if key in shared or all(type(k) is str for k in value):\n",
+        RENDER_TESTS,
+    ),
+    Mutant(
+        "write-takes-no-descriptor-ids", IO,
+        "emit = _emitter({id(d) for d, _ in _MEMO.get(_Memo(False)).systems.values()})",
+        "emit = _emitter()",
         RENDER_TESTS,
     ),
     Mutant(
