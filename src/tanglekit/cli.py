@@ -55,6 +55,14 @@ def _resolve_system(ref: str):
     )
 
 
+def _finish(document, json_path, passed=True):
+    """Write the document if asked, then exit 1 unless the run passed."""
+    if json_path:
+        io.save(document, json_path)
+    if not passed:
+        raise SystemExit(1)
+
+
 class _Group(click.Group):
     """Turns what the library and the filesystem refuse into usage errors (exit 2)."""
 
@@ -95,10 +103,7 @@ def check(system_ref, family_path, kind, k_override, variant, json_path):
             line += f"  element {r.element}"
         click.echo(line)
     click.echo(f"result: {'PASS' if report.passed else 'FAIL'}")
-    if json_path:
-        io.save(report, json_path)
-    if not report.passed:
-        raise SystemExit(1)
+    _finish(report, json_path, report.passed)
 
 
 @main.command()
@@ -118,10 +123,7 @@ def enumerate(system_ref, kind, k, limit, variant, json_path):
         f"{len(result.families)} {kind} families on {system.describe()} "
         f"at k={k} ({result.status}, {result.nodes} nodes)"
     )
-    if json_path:
-        io.save(list(result.families), json_path)
-    if result.status != STATUS_COMPLETE:
-        raise SystemExit(1)
+    _finish(list(result.families), json_path, result.status == STATUS_COMPLETE)
 
 
 @main.command("branch-width")
@@ -137,8 +139,7 @@ def branch_width_cmd(system_ref, json_path):
     for mask in tree.splits:
         side = [labels[e] for e in mask_elements(mask)]
         click.echo(f"  split {{{','.join(side)}}} order {system.evaluate(mask)}")
-    if json_path:
-        io.save(tree, json_path)
+    _finish(tree, json_path)
 
 
 @main.command()
@@ -157,10 +158,7 @@ def duality(system_ref, kmax, json_path):
     if report.degenerate:
         click.echo("note: ground set of size <= 2; no convention asserted")
     click.echo(f"agrees: {'yes' if report.agrees else 'no'}")
-    if json_path:
-        io.save(report, json_path)
-    if not report.agrees and not report.degenerate:
-        raise SystemExit(1)
+    _finish(report, json_path, report.agrees or report.degenerate)
 
 
 @main.command("verify-theorems")
@@ -186,10 +184,7 @@ def verify_theorems(system_ref, theorems, k, json_path):
                    f"{'PASS' if v.passed else 'FAIL'} ({counts})")
         for kind, family in v.unmatched:
             click.echo(f"  unmatched {kind}: {family!r}")
-    if json_path:
-        io.save(verdicts, json_path)
-    if not all(v.passed for v in verdicts):
-        raise SystemExit(1)
+    _finish(verdicts, json_path, all(v.passed for v in verdicts))
 
 
 @main.command()
@@ -212,7 +207,4 @@ def hunt(problem, size, count, seed, kmax, json_path):
     for ce in verdict.counterexamples:
         click.echo(f"  {ce.system.describe()} k={ce.k}: {ce.claim} "
                    f"({ce.failing_axiom.value} fails on {ce.family!r})")
-    if json_path:
-        io.save(verdict, json_path)
-    if verdict.status != HUNT_NONE_FOUND:
-        raise SystemExit(1)
+    _finish(verdict, json_path, verdict.status == HUNT_NONE_FOUND)

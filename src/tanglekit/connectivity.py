@@ -300,7 +300,7 @@ def verify_axioms(
 
     ``exhaustive`` walks every subset pair a-major and is limited to n <= 12;
     it sets the system's ``verified`` flag on a full pass.  ``sampled`` draws
-    ``samples`` >= 1 seeded random pairs and works at any supported size.
+    ``samples`` >= 1 random pairs from ``seed`` >= 0 at any supported size.
     The witness of each check is its first failing pair in that order.
     Failures are report content with witness masks, never exceptions.
     """
@@ -316,6 +316,7 @@ def verify_axioms(
     if mode == "sampled":
         # a run that draws no pair would report a pass having examined nothing
         check_int(samples, "samples", 1)
+        check_int(seed, "seed")
         return _verify(mode, samples, _sampled_pairs(system, samples, seed))
     raise ValueError(f"unknown verification mode {mode!r}")
 

@@ -71,6 +71,7 @@ def random_hyperedge_system(
     check_int(n, "n", 1)
     check_int(hyperedge_count, "hyperedge count")
     check_int(max_arity, "max arity", 2)
+    check_int(seed, "seed")
     if hyperedge_count > 0 and max_arity > n:
         raise ValueError(f"max arity {max_arity} exceeds ground set size {n}")
     rng = random.Random(seed)

@@ -194,7 +194,6 @@ def verify_theorem(
     """
     if check_int(theorem, "theorem") not in THEOREMS:
         raise ValueError(f"theorem must be one of {', '.join(map(str, THEOREMS))}")
-    budget = budget or SearchBudget()
     if theorem in _BIJECTION_SIDES:
         left_kind, right_kind = _BIJECTION_SIDES[theorem]
         left = _enumerate_or_raise(left_kind, system, k, budget)
@@ -263,7 +262,6 @@ def verify_branchwidth_duality(
         )
     if kmax is not None:
         check_int(kmax, "kmax")
-    budget = budget or SearchBudget()
     bw = branch_width(system)[0]
     top = system.max_order()
     truncated = kmax is not None and kmax < top

@@ -409,6 +409,7 @@ class HuntCorpus:
     def __post_init__(self):
         for n in self.sizes:  # a hyperedge needs two elements
             check_int(n, "ground-set size", 2)
+        check_int(self.base_seed, "base_seed")
 
     def systems(self) -> list[ConnectivitySystem]:
         return [

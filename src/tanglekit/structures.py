@@ -60,9 +60,9 @@ one such a scan reports; a pair's second mask is the lowest bit of the
 failing set among the masks below (P2) or above (F4) its first.  P3b/F5,
 SF5 and FB2 keep their scans but read f(m) <= k from the context as well.
 
-Tangle-side reports carry a T4 entry and ultrafilter-side reports an F6
-entry.  These are informational: both properties are consequences of the
-axioms rather than axioms themselves, so they never affect the overall pass.
+``_KINDS`` holds one row per kind: its clauses as tabled above, then its
+informational entry (T4 on tangle kinds, F6 on ultrafilter kinds), a
+consequence of the axioms that is reported but never affects the pass.
 """
 
 from __future__ import annotations
@@ -123,44 +123,40 @@ class StructureKind(str, Enum):
 # kinds that orient separations and can be enumerated by orientation search
 ORIENTATION_KINDS = tuple(k for k in StructureKind if k is not StructureKind.FILTER_BASE)
 
-# each kind's clauses as the module docstring lists them; P3a and SP3 name
-# the slot that ``variant`` fills
-_KIND_AXIOMS = {
-    StructureKind.TANGLE: "T1 T2 T3",
-    StructureKind.LINEAR_TANGLE: "T1 T2 LT3",
-    StructureKind.ULTRAFILTER: "F1 F2 F3 F4 F5",
-    StructureKind.SINGLE_ULTRAFILTER: "F1 F2 F3 F4 SF5",
-    StructureKind.WEAK_ULTRAFILTER: "F1 F2 F3 F4 WF5",
-    StructureKind.PROFILE: "P1 P2 P3a P3b",
-    StructureKind.NON_PRINCIPAL_PROFILE: "P1 P2 P3a P3b P4",
-    StructureKind.LINEAR_PROFILE: "P1 P2 SP3",
-    StructureKind.NON_PRINCIPAL_LINEAR_PROFILE: "P1 P2 SP3 P4",
-    StructureKind.FILTER_BASE: "FB1 FB2",
-}
-
-_DIAGNOSTICS = {
-    StructureKind.TANGLE: (AxiomId.T4,),
-    StructureKind.LINEAR_TANGLE: (AxiomId.T4,),
-    StructureKind.ULTRAFILTER: (AxiomId.F6,),
-    StructureKind.SINGLE_ULTRAFILTER: (AxiomId.F6,),
-    StructureKind.WEAK_ULTRAFILTER: (AxiomId.F6,),
+# one row per kind: its clauses as the module docstring lists them, P3a and
+# SP3 naming the slot that ``variant`` fills, then its informational entry
+_KINDS = {
+    StructureKind.TANGLE: ("T1 T2 T3", "T4"),
+    StructureKind.LINEAR_TANGLE: ("T1 T2 LT3", "T4"),
+    StructureKind.ULTRAFILTER: ("F1 F2 F3 F4 F5", "F6"),
+    StructureKind.SINGLE_ULTRAFILTER: ("F1 F2 F3 F4 SF5", "F6"),
+    StructureKind.WEAK_ULTRAFILTER: ("F1 F2 F3 F4 WF5", "F6"),
+    StructureKind.PROFILE: ("P1 P2 P3a P3b", ""),
+    StructureKind.NON_PRINCIPAL_PROFILE: ("P1 P2 P3a P3b P4", ""),
+    StructureKind.LINEAR_PROFILE: ("P1 P2 SP3", ""),
+    StructureKind.NON_PRINCIPAL_LINEAR_PROFILE: ("P1 P2 SP3 P4", ""),
+    StructureKind.FILTER_BASE: ("FB1 FB2", ""),
 }
 
 
 def axiom_ids(kind: StructureKind, variant: str = "corrected") -> tuple[AxiomId, ...]:
     """The concrete axiom list checked for a kind, P0 first."""
+    return _resolve(kind, variant)[0]
+
+
+def _resolve(kind, variant):
+    """The kind's clauses, P0 first, and its informational entries."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    return _resolve(StructureKind(kind), variant)
+    return _row(StructureKind(kind), variant)
 
 
 @cache
-def _resolve(kind, variant):
-    # every search and every check resolves its list, so resolve each pair once
-    return tuple(
-        AxiomId(f"{a}_{variant}" if a in ("P3a", "SP3") else a)
-        for a in ("P0", *_KIND_AXIOMS[kind].split())
-    )
+def _row(kind, variant):
+    # every search and every check resolves its row, so resolve each pair once
+    clauses, info = (text.split() for text in _KINDS[kind])
+    named = [f"{a}_{variant}" if a in ("P3a", "SP3") else a for a in ("P0", *clauses)]
+    return tuple(map(AxiomId, named)), tuple(map(AxiomId, info))
 
 
 @dataclass(frozen=True)
@@ -242,8 +238,10 @@ class _Ctx:
     """Shared per-check state: member masks plus the system's context at k."""
 
     def __init__(self, system: ConnectivitySystem, k: int, family: SeparationFamily):
+        if family.system is not system:
+            raise ValueError("family belongs to a different system")
         self.system = system
-        self.k = k
+        self.k = check_int(k, "k")
         self.masks = family.member_masks
         self.mask_set = family.mask_set()
         self.n = system.n
@@ -330,7 +328,7 @@ def _check_lt3(ctx):
 
 def _check_t4(ctx):
     # diagnostic: (emptyset, X) is a member whenever it is orientable at all
-    if ctx.system.evaluate(0) <= ctx.k and 0 not in ctx.mask_set:
+    if ctx.within(0) and 0 not in ctx.mask_set:
         return (0,), None
     return None
 
@@ -351,7 +349,7 @@ def _check_sf5(ctx):
 def _check_wf5(ctx):
     # if (emptyset, X) has order <= k, no two members (or one, twice) are
     # disjoint: a misses b iff a lies below X ^ b
-    apart = ctx.system.evaluate(0) <= ctx.k and ctx.bits & _down(ctx.reversed_bits, ctx.n)
+    apart = ctx.within(0) and ctx.bits & _down(ctx.reversed_bits, ctx.n)
     if not apart:
         return None
     a = _lowest(apart)  # every member a misses is in ``apart`` too, so above a
@@ -477,12 +475,6 @@ _CHECKS = {
 }
 
 
-def _validate(system, k, family):
-    if family.system is not system:
-        raise ValueError("family belongs to a different system")
-    check_int(k, "k")
-
-
 def check_axiom(
     system: ConnectivitySystem, k: int, family: SeparationFamily, axiom: AxiomId
 ) -> AxiomResult:
@@ -492,8 +484,8 @@ def check_axiom(
     mask, elements ascending, enumerated separations ascending.  A member
     whose order exceeds k is a P0 failure, never an exception.
     """
-    _validate(system, k, family)
-    return _run(AxiomId(axiom), _Ctx(system, k, family))
+    ctx = _Ctx(system, k, family)  # guards the system and k before the axiom
+    return _run(AxiomId(axiom), ctx)
 
 
 def check_structure(
@@ -509,12 +501,12 @@ def check_structure(
     Informational entries (T4 on tangle kinds, F6 on ultrafilter kinds) are
     appended to the report but never affect the overall pass.
     """
-    _validate(system, k, family)
-    kind = StructureKind(kind)
     ctx = _Ctx(system, k, family)
-    results = [_run(a, ctx) for a in axiom_ids(kind, variant)]
+    kind = StructureKind(kind)
+    clauses, info = _resolve(kind, variant)
+    results = [_run(a, ctx) for a in clauses]
     passed = all(r.passed for r in results)
-    results += [_run(a, ctx) for a in _DIAGNOSTICS.get(kind, ())]
+    results += [_run(a, ctx) for a in info]
     return StructureReport(kind, k, variant, tuple(results), passed)
 
 
@@ -527,7 +519,6 @@ def check_filter_base_generates(
     separation lying above some base member, so it satisfies F4 by
     construction.
     """
-    _validate(system, k, base)
     ctx = _Ctx(system, k, base)
     for axiom in (AxiomId.FB1, AxiomId.FB2):
         result = _run(axiom, ctx)

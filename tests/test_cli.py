@@ -36,15 +36,22 @@ class TestCheck:
         for axiom in ("P0", "T1", "T2", "T3", "T4"):
             assert f"{axiom:<14} pass" in result.output
 
-    def test_failing_check_exits_one_with_witness(self, runner, tmp_path):
+    def test_failing_check_exits_one_with_witness(self, runner, tmp_path, min3):
+        from tanglekit import SeparationFamily, check_structure
+
         fam = family_file(tmp_path, 0, [[]])
+        out = tmp_path / "report.json"
         result = runner.invoke(main, [
             "check", "--system", "min3", "--family", fam,
-            "--kind", "ultrafilter",
+            "--kind", "ultrafilter", "--json", str(out),
         ])
         assert result.exit_code == 1
         assert "result: FAIL" in result.output
         assert "witness" in result.output
+        # the failed check still writes its report
+        family = SeparationFamily.from_masks(min3, 0, [0])
+        expected = check_structure(min3, 0, family, "ultrafilter")
+        assert load_document(out) == to_document(expected)
 
     @pytest.mark.parametrize("kind, lines", [
         ("tangle", [
@@ -235,14 +242,20 @@ class TestDuality:
 
 
 class TestVerifyTheorems:
-    def test_default_sweep_hits_the_degenerate_pair(self, runner):
+    def test_default_sweep_hits_the_degenerate_pair(self, runner, tmp_path, min3):
+        from tanglekit import verify_theorem
+
+        out = tmp_path / "verdicts.json"
         result = runner.invoke(main, [
-            "verify-theorems", "--system", "min3", "--k", "0",
+            "verify-theorems", "--system", "min3", "--k", "0", "--json", str(out),
         ])
         assert result.exit_code == 1
         assert "theorem 11 on min3 at k=0: PASS" in result.output
         assert "theorem 12 on min3 at k=0: FAIL" in result.output
         assert "unmatched linear_tangle" in result.output
+        # the failed sweep still writes every verdict
+        expected = [verify_theorem(t, min3, 0) for t in (11, 12, 15, 16)]
+        assert json.loads(out.read_text()) == [to_document(v) for v in expected]
 
     def test_selected_theorems_pass(self, runner, tmp_path):
         out = tmp_path / "verdicts.json"
@@ -311,6 +324,9 @@ class TestHunt:
         ]).exit_code == 2
         assert runner.invoke(main, [
             "hunt", "--problem", "9", "--n", "9", "--systems", "1",
+        ]).exit_code == 2
+        assert runner.invoke(main, [
+            "hunt", "--problem", "9", "--n", "3", "--seed", "-1",
         ]).exit_code == 2
 
     def test_an_oversized_system_exits_two_before_its_table(self, runner, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 from tanglekit import (
     AxiomId,
+    HuntCorpus,
     NamedCorpus,
     SeparationFamily,
     check_axiom,
@@ -20,6 +21,7 @@ from tanglekit import (
     hyperedge_system,
     make_separation,
     random_hyperedge_system,
+    verify_axioms,
     verify_branchwidth_duality,
     verify_theorem,
 )
@@ -58,6 +60,10 @@ ENTRY_POINTS = {
     "random_hyperedge_system n": lambda c4, v: random_hyperedge_system(v, 0, 2, 0),
     "random_hyperedge_system count": lambda c4, v: random_hyperedge_system(3, v, 2, 0),
     "random_hyperedge_system arity": lambda c4, v: random_hyperedge_system(3, 1, v, 0),
+    # a seed is >= 0 as well: random.Random(-s) draws what random.Random(s) draws
+    "random_hyperedge_system seed": lambda c4, v: random_hyperedge_system(3, 1, 2, v),
+    "verify_axioms sampled seed": lambda c4, v: verify_axioms(c4, "sampled", samples=5, seed=v),
+    "HuntCorpus base_seed": lambda c4, v: HuntCorpus(sizes=(3,), base_seed=v),
 }
 
 

@@ -218,12 +218,17 @@ class TestSingleAxioms:
     def test_axiom_accepts_string_id(self, min3):
         assert check_axiom(min3, 0, family(min3, 0, [0]), "T1").passed
 
-    def test_input_validation(self, min3):
+    @pytest.mark.parametrize("entry", [
+        lambda s, k, fam: check_axiom(s, k, fam, A.T1),
+        lambda s, k, fam: check_structure(s, k, fam, "tangle"),
+        lambda s, k, fam: check_filter_base_generates(s, k, fam),
+    ], ids=["check_axiom", "check_structure", "check_filter_base_generates"])
+    def test_input_validation(self, min3, entry):
         other = min_cardinality_system(3)
-        with pytest.raises(ValueError):
-            check_axiom(min3, 0, family(other, 0, [0]), A.T1)
-        with pytest.raises(ValueError):
-            check_axiom(min3, -1, family(min3, 0, [0]), A.T1)
+        with pytest.raises(ValueError, match="different system"):
+            entry(min3, 0, family(other, 0, [0]))
+        with pytest.raises(ValueError, match="k must be"):
+            entry(min3, -1, family(min3, 0, [0]))
 
     def test_enumeration_cap_only_where_needed(self):
         big = min_cardinality_system(17)
@@ -754,5 +759,5 @@ class TestKernelReadsNoScalarOrder:
                 fam = family(system, k, masks)
                 calls.clear()
                 assert check_axiom(system, k, fam, ax).passed, (system.name, ax)
-                # WF5 reads f at the empty side once; the rest read the table
-                assert len(calls) <= (1 if ax is A.WF5 else 0), (system.name, ax, calls)
+                # WF5 reads f at the empty side from the table like the rest
+                assert calls == [], (system.name, ax, calls)

@@ -38,6 +38,7 @@ SEARCH = "src/tanglekit/search.py"
 CONNECTIVITY = "src/tanglekit/connectivity.py"
 SEPARATIONS = "src/tanglekit/separations.py"
 DUALITY = "src/tanglekit/duality.py"
+CLI = "src/tanglekit/cli.py"
 KERNEL_TESTS = (
     "tests/test_structures.py::TestKernelMatchesScans",
     "tests/test_structures.py::TestPinnedResults",
@@ -129,7 +130,7 @@ MUTANTS = (
     ),
     Mutant(
         "wf5-without-empty-side-order", STRUCTURES,
-        "apart = ctx.system.evaluate(0) <= ctx.k and ctx.bits",
+        "apart = ctx.within(0) and ctx.bits",
         "apart = ctx.bits",
         KERNEL_TESTS,
     ),
@@ -434,6 +435,20 @@ MUTANTS = (
         "AxiomId.F6: partial(_check_cover, True),",
         "AxiomId.F6: partial(_check_cover, False),",
         CHECKER_TESTS,
+    ),
+    Mutant(
+        "kind-row-drops-its-informational-entry", STRUCTURES,
+        'StructureKind.TANGLE: ("T1 T2 T3", "T4"),',
+        'StructureKind.TANGLE: ("T1 T2 T3", ""),',
+        ("tests/test_structures.py::TestCheckStructure::test_minimal_tangle",),
+    ),
+    # every entry point builds its context first, so the one guard serves all
+    Mutant(
+        "context-admits-another-systems-family", STRUCTURES,
+        '        if family.system is not system:\n'
+        '            raise ValueError("family belongs to a different system")\n',
+        "",
+        ("tests/test_structures.py::TestSingleAxioms::test_input_validation",),
     ),
     Mutant(
         "run-sorts-the-witness", STRUCTURES,
@@ -787,6 +802,13 @@ MUTANTS = (
         'check_int(n, "ground-set size", 1)',
         ("tests/test_search.py::TestCorpora", "tests/test_cli.py::TestHunt"),
     ),
+    # Random(-s) draws what Random(s) draws, so two corpus systems would repeat
+    Mutant(
+        "hunt-corpus-seed-unchecked", SEARCH,
+        '        check_int(self.base_seed, "base_seed")\n',
+        "",
+        INTEGER_TESTS + ("tests/test_cli.py::TestHunt::test_bad_inputs",),
+    ),
     # one check and one rendering per counterexample descriptor
     Mutant(
         "raw-lookup-reads-1.0-as-1", IO,
@@ -874,6 +896,18 @@ MUTANTS = (
         "SeparationFamily(family.system, family.k, family.dual_masks())",
         "SeparationFamily(family.system, family.k, family.member_masks)",
         DUAL_TESTS,
+    ),
+    # a run that exits 1 still writes its document
+    Mutant(
+        "finish-exits-before-writing", CLI,
+        "    if json_path:\n        io.save(document, json_path)\n"
+        "    if not passed:\n        raise SystemExit(1)\n",
+        "    if not passed:\n        raise SystemExit(1)\n"
+        "    if json_path:\n        io.save(document, json_path)\n",
+        (
+            "tests/test_cli.py::TestCheck::test_failing_check_exits_one_with_witness",
+            "tests/test_cli.py::TestVerifyTheorems::test_default_sweep_hits_the_degenerate_pair",
+        ),
     ),
 )
 
